@@ -3,9 +3,9 @@ pre-compression and a key-generation timing benchmark.
 
 A master key expands through a byte-to-symbol lookup cube into a first key,
 then through chaotic logistic-map cycles, an LFSR rotate/XOR pass, and a
-triple XOR into the final key material; AES round keys and the
-message-length keystream come from further chaotic streams separated by
-domain tags.  Messages travel in a small binary envelope.
+triple XOR into the final key material, in which the chaotic second key
+cancels out; AES round keys and the message-length keystream come from
+further chaotic streams separated by domain tags.  Messages travel in a small binary envelope.
 """
 
 from .chaos import ChaoticState, next_byte, seed_from_key1, step
@@ -26,7 +26,9 @@ from .errors import (
     EmptyKey,
     LengthMismatch,
     MatrixConfigError,
+    MessageTooLong,
     MisplacedTerminal,
+    OutputLimitExceeded,
     TooFewPoints,
     Truncated,
     ZeroState,
@@ -72,7 +74,9 @@ __all__ = [
     "Lfsr8",
     "Matrix3D",
     "MatrixConfigError",
+    "MessageTooLong",
     "MisplacedTerminal",
+    "OutputLimitExceeded",
     "RoundKeys",
     "Token",
     "TooFewPoints",

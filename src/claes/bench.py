@@ -11,8 +11,8 @@ meaningful local expectations.
 from __future__ import annotations
 
 import csv
+import gc
 import io
-import random
 import statistics
 import time
 from dataclasses import dataclass
@@ -101,44 +101,56 @@ def run_bench(
     master_key: bytes,
     unit: str = "kilobit",
     matrix: Matrix3D | None = None,
-    payload_seed: int = 90127,
 ) -> list[BenchRecord]:
     """Median-of-repetitions timing of the keystream call per (method, sensor, size).
 
-    Payloads are seeded-pseudo-random so runs are comparable; only their
-    length enters the timed call.  Timed regions run sequentially on the
-    calling thread.
+    Only the payload length enters the timed call.  Timed regions run
+    sequentially on the calling thread.  Repetitions go round-robin over
+    every (method, sensor, size) cell, after one untimed warm-up pass, so a
+    drift in machine speed hits every size alike instead of bending one
+    ladder; the garbage collector is off while timing.
     """
     m = matrix if matrix is not None else default_matrix()
     km = derive_key_material(master_key, m)
-    records: list[BenchRecord] = []
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
-        for profile in profiles:
-            if profile.repetitions < 3:
-                raise ValueError("medians need at least 3 repetitions")
-            for size_kb in profile.sizes_kb:
-                payload = random.Random(f"{payload_seed}:{size_kb}:{unit}").randbytes(
-                    payload_byte_count(size_kb, unit)
-                )
-                n = len(payload)
-                times_ms = []
-                for _ in range(profile.repetitions):
-                    if method == METHOD_PROPOSED:
-                        seed = keystream_seed(km.key1)
-                        t0 = time.perf_counter_ns()
-                        generate_keystream(seed, km.final_key, n)
-                        t1 = time.perf_counter_ns()
-                    else:
-                        t0 = time.perf_counter_ns()
-                        baseline_keystream(m, km.key1, n)
-                        t1 = time.perf_counter_ns()
-                    times_ms.append((t1 - t0) / 1e6)
-                elapsed = statistics.median(times_ms)
-                records.append(
-                    BenchRecord(method, profile.sensor, size_kb, elapsed, size_kb / elapsed)
-                )
+    for profile in profiles:
+        if profile.repetitions < 3:
+            raise ValueError("medians need at least 3 repetitions")
+    cells = [
+        (method, profile, size_kb)
+        for method in methods
+        for profile in profiles
+        for size_kb in profile.sizes_kb
+    ]
+    times_ms: list[list[float]] = [[] for _ in cells]
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for rep in range(-1, max((p.repetitions for p in profiles), default=0)):
+            for (method, profile, size_kb), times in zip(cells, times_ms):
+                if rep >= profile.repetitions:
+                    continue
+                n = payload_byte_count(size_kb, unit)
+                if method == METHOD_PROPOSED:
+                    seed = keystream_seed(km.key1)
+                    t0 = time.perf_counter_ns()
+                    generate_keystream(seed, km.final_key, n)
+                    t1 = time.perf_counter_ns()
+                else:
+                    t0 = time.perf_counter_ns()
+                    baseline_keystream(m, km.key1, n)
+                    t1 = time.perf_counter_ns()
+                if rep >= 0:
+                    times.append((t1 - t0) / 1e6)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    records = []
+    for (method, profile, size_kb), times in zip(cells, times_ms):
+        elapsed = statistics.median(times)
+        records.append(BenchRecord(method, profile.sensor, size_kb, elapsed, size_kb / elapsed))
     return records
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lz78
-from .errors import BadMagic, BadVersion, EmptyKey, LengthMismatch, Truncated
+from .errors import BadMagic, BadVersion, EmptyKey, LengthMismatch, MessageTooLong, Truncated
 from .keymatrix import Matrix3D
 from .keyschedule import derive_key_material, generate_keystream, keystream_seed
 
@@ -170,29 +170,49 @@ def block_decrypt(block: bytes, round_keys) -> bytes:
 # Counter-mode keystream blocks are independent, so they are produced in one
 # vectorized pass over all blocks.  Must stay bit-identical to per-block
 # block_encrypt; tests compare the two paths.
+#
+# Rounds 1-9 use the 32-bit T-table form (Daemen & Rijmen, "AES Proposal:
+# Rijndael", section 5.2): SubBytes and MixColumns fold into four tables, so a
+# state column is four table lookups XORed with a round-key word.  Column c
+# is state bytes 4c..4c+3 read as one little-endian word (row r in bits 8r).
+# The tables are explicitly little-endian so their uint8 view is the same on
+# every host.
 
 _NP_SBOX = np.array(SBOX, dtype=np.uint8)
-_NP_MUL2 = np.array(MUL2, dtype=np.uint8)
-_NP_MUL3 = np.array(MUL3, dtype=np.uint8)
 _NP_SHIFT = np.array(SHIFT, dtype=np.intp)
+
+_S1 = _NP_SBOX.astype(np.uint32)
+_S2 = np.array(MUL2, dtype=np.uint32)[_NP_SBOX]
+_S3 = np.array(MUL3, dtype=np.uint32)[_NP_SBOX]
+# table r: the MixColumns column (rows 0-3, low byte first) of row r's byte
+_T0 = (_S2 | _S1 << 8 | _S1 << 16 | _S3 << 24).astype("<u4")
+_T1 = (_S3 | _S2 << 8 | _S1 << 16 | _S1 << 24).astype("<u4")
+_T2 = (_S1 | _S3 << 8 | _S2 << 16 | _S1 << 24).astype("<u4")
+_T3 = (_S1 | _S1 << 8 | _S3 << 16 | _S2 << 24).astype("<u4")
 
 
 def _encrypt_blocks(states: np.ndarray, round_keys) -> np.ndarray:
-    rk = [np.frombuffer(bytes(round_keys[i]), dtype=np.uint8) for i in range(11)]
+    rk = np.frombuffer(b"".join(bytes(round_keys[i]) for i in range(11)), dtype=np.uint8).reshape(11, 16)
+    rk_words = rk.view("<u4")
     s = states ^ rk[0]
     for rnd in range(1, 10):
-        t = _NP_SBOX[s[:, _NP_SHIFT]].reshape(-1, 4, 4)
-        a0, a1, a2, a3 = t[:, :, 0], t[:, :, 1], t[:, :, 2], t[:, :, 3]
-        mixed = np.empty_like(t)
-        mixed[:, :, 0] = _NP_MUL2[a0] ^ _NP_MUL3[a1] ^ a2 ^ a3
-        mixed[:, :, 1] = a0 ^ _NP_MUL2[a1] ^ _NP_MUL3[a2] ^ a3
-        mixed[:, :, 2] = a0 ^ a1 ^ _NP_MUL2[a2] ^ _NP_MUL3[a3]
-        mixed[:, :, 3] = _NP_MUL3[a0] ^ a1 ^ a2 ^ _NP_MUL2[a3]
-        s = mixed.reshape(-1, 16) ^ rk[rnd]
+        # t[:, c, r] is the byte ShiftRows moves to row r of column c
+        t = s[:, _NP_SHIFT].reshape(-1, 4, 4)
+        w = _T0[t[:, :, 0]] ^ _T1[t[:, :, 1]] ^ _T2[t[:, :, 2]] ^ _T3[t[:, :, 3]] ^ rk_words[rnd]
+        # gathers over strided columns need not come out C-contiguous
+        s = np.ascontiguousarray(w, dtype="<u4").view(np.uint8)
     return _NP_SBOX[s[:, _NP_SHIFT]] ^ rk[10]
 
 
+# counters are 32-bit, so one nonce covers at most this many blocks
+MAX_CTR_BLOCKS = 1 << 32
+
+
 def _ctr_keystream(nonce: bytes, nblocks: int, round_keys) -> bytes:
+    if nblocks > MAX_CTR_BLOCKS:
+        raise MessageTooLong(
+            f"{nblocks} blocks exceed the {MAX_CTR_BLOCKS} a 32-bit counter can number"
+        )
     if nblocks == 0:
         return b""
     blocks = np.empty((nblocks, 16), dtype=np.uint8)
@@ -327,7 +347,7 @@ def decrypt_message(
     ks = generate_keystream(keystream_seed(km.key1), km.final_key, len(whitened))
     data = _xor(whitened, ks)
     if env.flags & FLAG_LZ78:
-        plaintext = lz78.decompress(lz78.decode_tokens(data))
+        plaintext = lz78.decompress(lz78.decode_tokens(data), max_output=env.plain_len)
     else:
         plaintext = data
     if len(plaintext) != env.plain_len:

@@ -29,6 +29,14 @@ class MisplacedTerminal(ClaesError):
     """A symbol-less compression token appeared anywhere but last."""
 
 
+class MessageTooLong(ClaesError):
+    """A message needs more counter blocks than one nonce can number."""
+
+
+class OutputLimitExceeded(LengthMismatch):
+    """Decompression produced more bytes than the caller allowed."""
+
+
 class BadMagic(ClaesError):
     """An envelope did not start with the expected magic bytes."""
 

@@ -1,10 +1,15 @@
 """Four-stage key derivation and the two benchmarkable keystream paths.
 
 Key1 comes from the lookup cube, Key2 from chaotic cycles XORed onto Key1,
-Key3 from a rotate/XOR pass driven by an 8-bit LFSR, and the final key is
-the bytewise XOR of the three.  A message-length keystream is then produced
-by running the chaotic generator on, one byte of final key folded into each
-output byte; that call is the size-dependent cost the benchmark measures.
+and Key3 from a rotate/XOR pass driven by an 8-bit LFSR.  The pass maps each
+byte b to rotr1(rotl1(b) ^ l) = b ^ rotr1(l), so Key3 is Key2 XOR a fixed
+period-255 pad, and the final key, Key1 ^ Key2 ^ Key3, is Key1 ^ pad: Key2
+cancels out.  `derive_key_material` therefore computes the final key from
+Key1 and the pad alone, and Key2 and Key3 are built only when read.
+
+A message-length keystream is then produced by running the chaotic
+generator on, one byte of final key folded into each output byte; that call
+is the size-dependent cost the benchmark measures.
 
 Chaos streams for different purposes are separated by domain tags mixed
 into the seed, so Key2 bytes, keystream bytes, and round-key bytes never
@@ -14,6 +19,7 @@ reuse one orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .chaos import ChaoticState, seed_from_key1
 from .errors import EmptyKey, LengthMismatch, ZeroState
@@ -128,16 +134,31 @@ def derive_round_keys(seed: ChaoticState) -> tuple[bytes, ...]:
     return tuple(raw[i * 16:(i + 1) * 16] for i in range(11))
 
 
+# derive_key3 of an all-zero Key2 is the pad itself: rotr1 of each LFSR
+# output byte.  The LFSR has period 255, so the pad repeats after 255 bytes.
+_PAD = derive_key3(bytes(255))
+
+
 @dataclass(frozen=True)
 class KeyMaterial:
-    """Everything derived from one master key, immutable once built."""
+    """Everything derived from one master key, immutable once built.
+
+    Key2 and Key3 do not reach the final key (see the module docstring);
+    they are derived on first access and then cached.
+    """
 
     key1: bytes
-    key2: bytes
-    key3: bytes
     final_key: bytes
     round_keys: tuple[bytes, ...]
     master_len: int
+
+    @cached_property
+    def key2(self) -> bytes:
+        return derive_key2(seed_from_key1(fold_seed_prefix(self.key1), DOMAIN_KEY2), self.key1)
+
+    @cached_property
+    def key3(self) -> bytes:
+        return derive_key3(self.key2)
 
 
 def derive_key_material(master_key: bytes, matrix: Matrix3D | None = None) -> KeyMaterial:
@@ -146,12 +167,9 @@ def derive_key_material(master_key: bytes, matrix: Matrix3D | None = None) -> Ke
         raise EmptyKey("master key must not be empty")
     m = matrix if matrix is not None else default_matrix()
     key1 = derive_key1(m, master_key)
-    prefix = fold_seed_prefix(key1)
-    key2 = derive_key2(seed_from_key1(prefix, DOMAIN_KEY2), key1)
-    key3 = derive_key3(key2)
-    final_key = derive_final_key(key1, key2, key3)
-    round_keys = derive_round_keys(seed_from_key1(prefix, DOMAIN_ROUND_KEYS))
-    return KeyMaterial(key1, key2, key3, final_key, round_keys, len(master_key))
+    final_key = bytes(b ^ _PAD[i % 255] for i, b in enumerate(key1))
+    round_keys = derive_round_keys(seed_from_key1(fold_seed_prefix(key1), DOMAIN_ROUND_KEYS))
+    return KeyMaterial(key1, final_key, round_keys, len(master_key))
 
 
 def keystream_seed(key1: bytes) -> ChaoticState:

@@ -8,9 +8,10 @@ codec total and exactly invertible on every byte string.
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
-from .errors import BadIndex, MisplacedTerminal, Truncated
+from .errors import BadIndex, MisplacedTerminal, OutputLimitExceeded, Truncated
 
 
 class Token(NamedTuple):
@@ -38,8 +39,14 @@ def compress(data: bytes) -> list[Token]:
     return out
 
 
-def decompress(tokens) -> bytes:
-    """Exact inverse of :func:`compress`."""
+def decompress(tokens, max_output: int | None = None) -> bytes:
+    """Exact inverse of :func:`compress`.
+
+    Raises :class:`OutputLimitExceeded` as soon as the output passes
+    ``max_output`` bytes.  Every dictionary entry is a piece already written
+    to the output, so the limit bounds the dictionary's memory as well.
+    """
+    limit = sys.maxsize if max_output is None else max_output
     entries: list[bytes] = [b""]
     out = bytearray()
     last = len(tokens) - 1
@@ -50,6 +57,8 @@ def decompress(tokens) -> bytes:
             raise BadIndex(f"token {t} references entry {index}, dictionary has {len(entries) - 1}")
         piece = entries[index] if symbol is None else entries[index] + bytes([symbol])
         out.extend(piece)
+        if len(out) > limit:
+            raise OutputLimitExceeded(f"token {t} takes the output past {limit} bytes")
         entries.append(piece)
     return bytes(out)
 

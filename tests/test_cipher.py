@@ -19,9 +19,12 @@ from claes.errors import (
     ClaesError,
     EmptyKey,
     LengthMismatch,
+    MessageTooLong,
+    OutputLimitExceeded,
     Truncated,
 )
 from claes.keyschedule import derive_key_material
+from claes.lz78 import Token, encode_tokens
 from claes import vectors
 
 import oracles
@@ -118,14 +121,22 @@ def test_round_keys_validation():
 
 
 def test_batched_counter_mode_matches_per_block():
+    # the batched T-table core against the scalar core and the independent
+    # oracle, under random chaos-style and under Rijndael round keys
     rng = random.Random(11)
-    rk = _random_round_keys(rng)
-    nonce = rng.randbytes(12)
-    batched = _ctr_keystream(nonce, 33, rk)
-    reference = b"".join(
-        block_encrypt(nonce + i.to_bytes(4, "big"), rk) for i in range(33)
-    )
-    assert batched == reference
+    for nblocks in (1, 2, 17, 33, 256):
+        for rk in (_random_round_keys(rng), rijndael_round_keys(rng.randbytes(16))):
+            nonce = rng.randbytes(12)
+            batched = _ctr_keystream(nonce, nblocks, rk)
+            counter_blocks = [nonce + i.to_bytes(4, "big") for i in range(nblocks)]
+            assert batched == b"".join(block_encrypt(b, rk) for b in counter_blocks)
+            assert batched == b"".join(oracles.aes_encrypt(b, rk) for b in counter_blocks)
+
+
+def test_ctr_keystream_refuses_counter_wrap():
+    # checked before any block is allocated, so this call allocates nothing
+    with pytest.raises(MessageTooLong):
+        _ctr_keystream(bytes(12), 2**32 + 1, RoundKeys(bytes(176)))
 
 
 # --- envelope -------------------------------------------------------------------
@@ -299,3 +310,14 @@ def test_chaos_round_keys_feed_the_block_core():
     whitening = generate_keystream(keystream_seed(km.key1), km.final_key, 16)
     expected_payload = bytes(w ^ k for w, k in zip(whitening, ks_seed_block))
     assert env.payload == expected_payload
+
+
+def test_chained_tokens_fail_fast_against_declared_length():
+    # token t extends entry t by one byte, so 4000 tokens would decode to
+    # about 8 MB; the declared 64 bytes are passed at token 10
+    master = b"bounded decode"
+    stream = encode_tokens([Token(t, 65) for t in range(4000)])
+    carrier = encrypt_message(master, bytes(12), stream, compress=False)
+    env = Envelope(flags=FLAG_LZ78, nonce=carrier.nonce, plain_len=64, payload=carrier.payload)
+    with pytest.raises(OutputLimitExceeded, match="token 10 "):
+        decrypt_message(env, master)

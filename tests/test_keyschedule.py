@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from claes.chaos import seed_from_key1
 from claes.errors import LengthMismatch, ZeroState
@@ -241,6 +243,29 @@ def test_key_material_xor_relation():
         assert km.final_key == bytes(
             a ^ b ^ c for a, b, c in zip(km.key1, km.key2, km.key3)
         )
+
+
+@given(st.binary(min_size=1, max_size=64))
+@example(bytes(range(100)))  # Key1 of 300 bytes runs past the 255-byte pad period
+@settings(max_examples=100, deadline=None)
+def test_final_key_equals_full_chain(master):
+    # the final key is computed from Key1 and the LFSR pad alone; Key2 and
+    # Key3, derived lazily, must give the same bytes through the full chain
+    km = derive_key_material(master)
+    assert km.final_key == derive_final_key(km.key1, km.key2, km.key3)
+
+
+def test_key2_and_key3_are_derived_only_when_read(monkeypatch):
+    import claes.keyschedule as ks
+
+    calls = []
+    real_key2, real_key3 = ks.derive_key2, ks.derive_key3
+    monkeypatch.setattr(ks, "derive_key2", lambda *a: calls.append(2) or real_key2(*a))
+    monkeypatch.setattr(ks, "derive_key3", lambda *a: calls.append(3) or real_key3(*a))
+    km = derive_key_material(b"lazy")
+    assert calls == []
+    assert km.key3 == km.key3
+    assert calls == [2, 3]
 
 
 def test_key_material_matches_oracle_chain():

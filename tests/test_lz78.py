@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claes.errors import BadIndex, MisplacedTerminal, Truncated
+from claes.errors import BadIndex, MisplacedTerminal, OutputLimitExceeded, Truncated
 from claes.lz78 import Token, compress, decode_tokens, decompress, encode_tokens
 
 import oracles
@@ -38,6 +38,15 @@ def test_decompress_bad_index():
 def test_decompress_misplaced_terminal():
     with pytest.raises(MisplacedTerminal):
         decompress([Token(0, None), Token(0, 65)])
+
+
+def test_decompress_output_limit():
+    tokens = compress(b"ABABABAB")
+    assert decompress(tokens, max_output=8) == b"ABABABAB"
+    with pytest.raises(OutputLimitExceeded):
+        decompress(tokens, max_output=7)
+    with pytest.raises(OutputLimitExceeded):
+        decompress([Token(0, 65)], max_output=0)
 
 
 def test_token_stream_validity_invariants():
