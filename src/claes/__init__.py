@@ -8,11 +8,9 @@ cancels out; AES round keys and the message-length keystream come from
 further chaotic streams separated by domain tags.  Messages travel in a small binary envelope.
 """
 
-from .chaos import ChaoticState, next_byte, seed_from_key1, step
+from .chaos import ChaoticState, seed_from_key1
 from .cipher import (
     Envelope,
-    RoundKeys,
-    block_decrypt,
     block_encrypt,
     decrypt_message,
     encrypt_message,
@@ -77,13 +75,11 @@ __all__ = [
     "MessageTooLong",
     "MisplacedTerminal",
     "OutputLimitExceeded",
-    "RoundKeys",
     "Token",
     "TooFewPoints",
     "Truncated",
     "ZeroState",
     "baseline_keystream",
-    "block_decrypt",
     "block_encrypt",
     "compress",
     "decode_tokens",
@@ -104,9 +100,7 @@ __all__ = [
     "keystream_seed",
     "lfsr_next",
     "load_matrix",
-    "next_byte",
     "parse_matrix_config",
     "rijndael_round_keys",
     "seed_from_key1",
-    "step",
 ]

@@ -101,18 +101,6 @@ def _step_raw(m: int) -> int:
     return R_NUM * ((m * (_ONE - m)) >> 63) // R_DEN
 
 
-def step(state: ChaoticState) -> ChaoticState:
-    """One truncating map step; pure, returns a fresh state."""
-    return ChaoticState(_step_raw(state.m_raw), state.domain_tag, state.iterations + 1)
-
-
-def next_byte(state: ChaoticState) -> tuple[int, ChaoticState]:
-    """Four map steps folded into one output byte; pure."""
-    successor = state.copy()
-    value = successor.take(1)[0]
-    return value, successor
-
-
 def seed_from_key1(key1_prefix: bytes, domain_tag: int) -> ChaoticState:
     """Seed a stream from up to 9 index bytes of the first key.
 

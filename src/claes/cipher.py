@@ -2,10 +2,13 @@
 mode around it, and the full message pipeline with a binary envelope.
 
 The block core is the standard round structure (SubBytes, ShiftRows,
-MixColumns, AddRoundKey) with the published S-box; what varies is where the
-round keys come from.  Normal operation feeds it chaos-derived round keys;
-`rijndael_round_keys` provides the classic expansion so the core can be
-checked against standard vectors and driven in a compatibility mode.
+MixColumns, AddRoundKey) with the published S-box, run in its 32-bit
+T-table form; what varies is where the round keys come from.  Round keys
+are a tuple of eleven 16-byte blocks.  Normal operation feeds the core
+chaos-derived round keys; `rijndael_round_keys` provides the classic
+expansion so the core can be checked against standard vectors and driven in
+a compatibility mode.  Counter mode runs the forward cipher for encryption
+and decryption alike, so there is no inverse cipher.
 
 Messages are processed as: optional LZ78 compression, XOR with the
 message-length chaotic keystream, then counter-mode block encryption.
@@ -44,8 +47,6 @@ SBOX = (
     0x8C, 0xA1, 0x89, 0x0D, 0xBF, 0xE6, 0x42, 0x68, 0x41, 0x99, 0x2D, 0x0F, 0xB0, 0x54, 0xBB, 0x16,
 )
 
-INV_SBOX = tuple(SBOX.index(i) for i in range(256))
-
 
 def _xtime(a: int) -> int:
     return ((a << 1) ^ 0x1B) & 0xFF if a & 0x80 else a << 1
@@ -53,59 +54,14 @@ def _xtime(a: int) -> int:
 
 MUL2 = tuple(_xtime(a) for a in range(256))
 MUL3 = tuple(_xtime(a) ^ a for a in range(256))
-_MUL4 = tuple(_xtime(x) for x in MUL2)
-_MUL8 = tuple(_xtime(x) for x in _MUL4)
-MUL9 = tuple(_MUL8[a] ^ a for a in range(256))
-MUL11 = tuple(_MUL8[a] ^ MUL2[a] ^ a for a in range(256))
-MUL13 = tuple(_MUL8[a] ^ _MUL4[a] ^ a for a in range(256))
-MUL14 = tuple(_MUL8[a] ^ _MUL4[a] ^ MUL2[a] for a in range(256))
 
 # flat states are column-major (index r + 4c); row r rotates left by r
 SHIFT = tuple((i % 4) + 4 * (((i // 4) + (i % 4)) % 4) for i in range(16))
-INV_SHIFT = tuple((i % 4) + 4 * (((i // 4) - (i % 4)) % 4) for i in range(16))
 
 RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 
 
-class RoundKeys:
-    """Eleven 16-byte round keys, immutable once constructed."""
-
-    __slots__ = ("_blocks",)
-
-    def __init__(self, material):
-        if isinstance(material, (bytes, bytearray, memoryview)):
-            data = bytes(material)
-            if len(data) != 176:
-                raise LengthMismatch(f"round-key material is {len(data)} bytes, expected 176")
-            blocks = tuple(data[i * 16:(i + 1) * 16] for i in range(11))
-        else:
-            blocks = tuple(bytes(b) for b in material)
-            if len(blocks) != 11 or any(len(b) != 16 for b in blocks):
-                raise LengthMismatch("round keys must be 11 blocks of 16 bytes")
-        self._blocks = blocks
-
-    def __getitem__(self, i: int) -> bytes:
-        return self._blocks[i]
-
-    def __len__(self) -> int:
-        return 11
-
-    def __iter__(self):
-        return iter(self._blocks)
-
-    def __bytes__(self) -> bytes:
-        return b"".join(self._blocks)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RoundKeys):
-            return self._blocks == other._blocks
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._blocks)
-
-
-def rijndael_round_keys(key: bytes) -> RoundKeys:
+def rijndael_round_keys(key: bytes) -> tuple[bytes, ...]:
     """Classic AES-128 key expansion; the compatibility/test schedule."""
     if len(key) != 16:
         raise LengthMismatch(f"AES-128 key must be 16 bytes, got {len(key)}")
@@ -120,56 +76,15 @@ def rijndael_round_keys(key: bytes) -> RoundKeys:
                 SBOX[t[0]],
             ]
         words.append([a ^ b for a, b in zip(words[i - 4], t)])
-    return RoundKeys(bytes(b for w in words for b in w))
+    flat = bytes(b for w in words for b in w)
+    return tuple(flat[i * 16:(i + 1) * 16] for i in range(11))
 
 
-def block_encrypt(block: bytes, round_keys) -> bytes:
-    """One AES-128 block with the supplied round keys used verbatim."""
-    if len(block) != 16:
-        raise ValueError("block must be 16 bytes")
-    rk = round_keys[0]
-    s = [block[i] ^ rk[i] for i in range(16)]
-    for rnd in range(1, 10):
-        rk = round_keys[rnd]
-        t = [SBOX[s[j]] for j in SHIFT]
-        mixed = [0] * 16
-        for c in (0, 4, 8, 12):
-            a0, a1, a2, a3 = t[c], t[c + 1], t[c + 2], t[c + 3]
-            mixed[c] = MUL2[a0] ^ MUL3[a1] ^ a2 ^ a3 ^ rk[c]
-            mixed[c + 1] = a0 ^ MUL2[a1] ^ MUL3[a2] ^ a3 ^ rk[c + 1]
-            mixed[c + 2] = a0 ^ a1 ^ MUL2[a2] ^ MUL3[a3] ^ rk[c + 2]
-            mixed[c + 3] = MUL3[a0] ^ a1 ^ a2 ^ MUL2[a3] ^ rk[c + 3]
-        s = mixed
-    rk = round_keys[10]
-    return bytes(SBOX[s[SHIFT[i]]] ^ rk[i] for i in range(16))
-
-
-def block_decrypt(block: bytes, round_keys) -> bytes:
-    """Exact inverse of :func:`block_encrypt`."""
-    if len(block) != 16:
-        raise ValueError("block must be 16 bytes")
-    rk = round_keys[10]
-    s = [block[i] ^ rk[i] for i in range(16)]
-    for rnd in range(9, 0, -1):
-        rk = round_keys[rnd]
-        t = [INV_SBOX[s[INV_SHIFT[i]]] ^ rk[i] for i in range(16)]
-        mixed = [0] * 16
-        for c in (0, 4, 8, 12):
-            a0, a1, a2, a3 = t[c], t[c + 1], t[c + 2], t[c + 3]
-            mixed[c] = MUL14[a0] ^ MUL11[a1] ^ MUL13[a2] ^ MUL9[a3]
-            mixed[c + 1] = MUL9[a0] ^ MUL14[a1] ^ MUL11[a2] ^ MUL13[a3]
-            mixed[c + 2] = MUL13[a0] ^ MUL9[a1] ^ MUL14[a2] ^ MUL11[a3]
-            mixed[c + 3] = MUL11[a0] ^ MUL13[a1] ^ MUL9[a2] ^ MUL14[a3]
-        s = mixed
-    rk = round_keys[0]
-    return bytes(INV_SBOX[s[INV_SHIFT[i]]] ^ rk[i] for i in range(16))
-
-
-# --- batched counter mode -------------------------------------------------
+# --- block core and counter mode ---------------------------------------------
 #
 # Counter-mode keystream blocks are independent, so they are produced in one
-# vectorized pass over all blocks.  Must stay bit-identical to per-block
-# block_encrypt; tests compare the two paths.
+# vectorized pass over all blocks; tests compare that pass with the
+# independent oracle, block by block.
 #
 # Rounds 1-9 use the 32-bit T-table form (Daemen & Rijmen, "AES Proposal:
 # Rijndael", section 5.2): SubBytes and MixColumns fold into four tables, so a
@@ -191,8 +106,10 @@ _T2 = (_S1 | _S3 << 8 | _S2 << 16 | _S1 << 24).astype("<u4")
 _T3 = (_S1 | _S1 << 8 | _S3 << 16 | _S2 << 24).astype("<u4")
 
 
-def _encrypt_blocks(states: np.ndarray, round_keys) -> np.ndarray:
-    rk = np.frombuffer(b"".join(bytes(round_keys[i]) for i in range(11)), dtype=np.uint8).reshape(11, 16)
+def _encrypt_blocks(states: np.ndarray, round_keys: tuple[bytes, ...]) -> np.ndarray:
+    if len(round_keys) != 11 or any(len(k) != 16 for k in round_keys):
+        raise LengthMismatch("round keys must be 11 blocks of 16 bytes")
+    rk = np.frombuffer(b"".join(round_keys), dtype=np.uint8).reshape(11, 16)
     rk_words = rk.view("<u4")
     s = states ^ rk[0]
     for rnd in range(1, 10):
@@ -204,11 +121,18 @@ def _encrypt_blocks(states: np.ndarray, round_keys) -> np.ndarray:
     return _NP_SBOX[s[:, _NP_SHIFT]] ^ rk[10]
 
 
+def block_encrypt(block: bytes, round_keys: tuple[bytes, ...]) -> bytes:
+    """One AES-128 block with the supplied round keys used verbatim."""
+    if len(block) != 16:
+        raise ValueError("block must be 16 bytes")
+    return _encrypt_blocks(np.frombuffer(block, dtype=np.uint8).reshape(1, 16), round_keys).tobytes()
+
+
 # counters are 32-bit, so one nonce covers at most this many blocks
 MAX_CTR_BLOCKS = 1 << 32
 
 
-def _ctr_keystream(nonce: bytes, nblocks: int, round_keys) -> bytes:
+def _ctr_keystream(nonce: bytes, nblocks: int, round_keys: tuple[bytes, ...]) -> bytes:
     if nblocks > MAX_CTR_BLOCKS:
         raise MessageTooLong(
             f"{nblocks} blocks exceed the {MAX_CTR_BLOCKS} a 32-bit counter can number"
@@ -313,10 +237,7 @@ def encrypt_message(
         data = bytes(plaintext)
     ks = generate_keystream(keystream_seed(km.key1), km.final_key, len(data))
     whitened = _xor(data, ks)
-    if standard_schedule:
-        round_keys = rijndael_round_keys(master_key)
-    else:
-        round_keys = RoundKeys(km.round_keys)
+    round_keys = rijndael_round_keys(master_key) if standard_schedule else km.round_keys
     stream = _ctr_keystream(bytes(nonce), (len(whitened) + 15) // 16, round_keys)
     payload = _xor(whitened, stream[: len(whitened)])
     return Envelope(
@@ -338,10 +259,7 @@ def decrypt_message(
     if not master_key:
         raise EmptyKey("master key must not be empty")
     km = derive_key_material(master_key, matrix)
-    if standard_schedule:
-        round_keys = rijndael_round_keys(master_key)
-    else:
-        round_keys = RoundKeys(km.round_keys)
+    round_keys = rijndael_round_keys(master_key) if standard_schedule else km.round_keys
     stream = _ctr_keystream(env.nonce, (len(env.payload) + 15) // 16, round_keys)
     whitened = _xor(env.payload, stream[: len(env.payload)])
     ks = generate_keystream(keystream_seed(km.key1), km.final_key, len(whitened))

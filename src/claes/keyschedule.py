@@ -150,7 +150,6 @@ class KeyMaterial:
     key1: bytes
     final_key: bytes
     round_keys: tuple[bytes, ...]
-    master_len: int
 
     @cached_property
     def key2(self) -> bytes:
@@ -169,7 +168,7 @@ def derive_key_material(master_key: bytes, matrix: Matrix3D | None = None) -> Ke
     key1 = derive_key1(m, master_key)
     final_key = bytes(b ^ _PAD[i % 255] for i, b in enumerate(key1))
     round_keys = derive_round_keys(seed_from_key1(fold_seed_prefix(key1), DOMAIN_ROUND_KEYS))
-    return KeyMaterial(key1, final_key, round_keys, len(master_key))
+    return KeyMaterial(key1, final_key, round_keys)
 
 
 def keystream_seed(key1: bytes) -> ChaoticState:

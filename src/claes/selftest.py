@@ -12,7 +12,6 @@ from . import lz78, vectors
 from .chaos import seed_from_key1
 from .cipher import (
     Envelope,
-    block_decrypt,
     block_encrypt,
     decrypt_message,
     encrypt_message,
@@ -27,7 +26,6 @@ def _check_aes_standard_vector():
     rk = rijndael_round_keys(key)
     got = block_encrypt(plaintext, rk)
     assert got.hex() == vectors.AES_CIPHERTEXT, f"AES vector mismatch: {got.hex()}"
-    assert block_decrypt(got, rk) == plaintext, "AES inverse mismatch"
 
 
 def _check_golden_key_material():

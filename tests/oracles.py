@@ -181,9 +181,6 @@ def _sbox_entry(a):
 
 
 ORACLE_SBOX = [_sbox_entry(a) for a in range(256)]
-ORACLE_INV_SBOX = [0] * 256
-for _a, _s in enumerate(ORACLE_SBOX):
-    ORACLE_INV_SBOX[_s] = _a
 
 
 def expand_key(key):
@@ -232,32 +229,6 @@ def aes_encrypt(block, rkeys):
                 st[2][c] = col[0] ^ col[1] ^ gf_mul(2, col[2]) ^ gf_mul(3, col[3])
                 st[3][c] = gf_mul(3, col[0]) ^ col[1] ^ col[2] ^ gf_mul(2, col[3])
         addk(rkeys[rnd])
-    return _from_state(st)
-
-
-def aes_decrypt(block, rkeys):
-    st = _to_state(block)
-
-    def addk(k):
-        for r in range(4):
-            for c in range(4):
-                st[r][c] ^= k[r + 4 * c]
-
-    addk(rkeys[10])
-    for rnd in range(9, -1, -1):
-        for r in range(4):
-            st[r] = st[r][-r:] + st[r][:-r] if r else st[r]
-        for r in range(4):
-            for c in range(4):
-                st[r][c] = ORACLE_INV_SBOX[st[r][c]]
-        addk(rkeys[rnd])
-        if rnd > 0:
-            for c in range(4):
-                col = [st[r][c] for r in range(4)]
-                st[0][c] = gf_mul(14, col[0]) ^ gf_mul(11, col[1]) ^ gf_mul(13, col[2]) ^ gf_mul(9, col[3])
-                st[1][c] = gf_mul(9, col[0]) ^ gf_mul(14, col[1]) ^ gf_mul(11, col[2]) ^ gf_mul(13, col[3])
-                st[2][c] = gf_mul(13, col[0]) ^ gf_mul(9, col[1]) ^ gf_mul(14, col[2]) ^ gf_mul(11, col[3])
-                st[3][c] = gf_mul(11, col[0]) ^ gf_mul(13, col[1]) ^ gf_mul(9, col[2]) ^ gf_mul(14, col[3])
     return _from_state(st)
 
 

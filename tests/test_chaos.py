@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from claes.chaos import ChaoticState, next_byte, seed_from_key1, step
+from claes.chaos import ChaoticState, _step_raw, seed_from_key1
 
 import oracles
 
@@ -14,21 +14,18 @@ FIRST_BYTE_ZEROS_00 = 0x7A
 
 
 def test_zero_is_a_fixed_point():
-    state = ChaoticState(0)
-    assert step(state).m_raw == 0
+    assert _step_raw(0) == 0
 
 
 def test_step_at_one_half():
-    state = ChaoticState(1 << 62)
-    assert step(state).m_raw == 39999 * (1 << 61) // 10000
+    assert _step_raw(1 << 62) == 39999 * (1 << 61) // 10000
 
 
 def test_ten_steps_match_oracle():
-    state = ChaoticState(0x0FEDCBA987654321)
+    m = 0x0FEDCBA987654321
     for _ in range(10):
-        state = step(state)
-    assert state.m_raw == TEN_STEPS_FROM_FIXED
-    assert state.iterations == 10
+        m = _step_raw(m)
+    assert m == TEN_STEPS_FROM_FIXED
 
     m = 0x0FEDCBA987654321
     for _ in range(10):
@@ -36,21 +33,13 @@ def test_ten_steps_match_oracle():
     assert m == TEN_STEPS_FROM_FIXED
 
 
-def test_step_is_pure():
-    state = ChaoticState(12345, domain_tag=7)
-    successor = step(state)
-    assert state.m_raw == 12345 and state.iterations == 0
-    assert successor.domain_tag == 7
-
-
 def test_range_preserved_under_iteration():
     rng = random.Random(2024)
     for _ in range(200):
         m = rng.randrange(1 << 63)
-        state = ChaoticState(m)
         for _ in range(50):
-            state = step(state)
-            assert 0 <= state.m_raw < 1 << 63
+            m = _step_raw(m)
+            assert 0 <= m < 1 << 63
 
 
 def test_state_validates_inputs():
@@ -98,33 +87,31 @@ def test_seed_last_byte_changes_state():
     assert a.m_raw != b.m_raw
 
 
+# the "next byte" of a stream is take(1)
+
 def test_next_byte_on_zero_state():
-    byte, state = next_byte(ChaoticState(0))
-    assert byte == 0x00
+    state = ChaoticState(0)
+    assert state.take(1) == b"\x00"
     assert state.m_raw == 0
     assert state.iterations == 4
 
 
 def test_next_byte_from_zero_prefix_seed():
-    byte, _ = next_byte(seed_from_key1(bytes(9), 0x00))
-    assert byte == FIRST_BYTE_ZEROS_00
+    assert seed_from_key1(bytes(9), 0x00).take(1)[0] == FIRST_BYTE_ZEROS_00
 
 
 def test_two_next_bytes_advance_eight_iterations():
     state = seed_from_key1(b"abc", 1)
-    _, state = next_byte(state)
-    _, state = next_byte(state)
+    state.take(1)
+    state.take(1)
     assert state.iterations == 8
 
 
 def test_take_agrees_with_next_byte():
     bulk = seed_from_key1(b"stream", 9).take(64)
     state = seed_from_key1(b"stream", 9)
-    singles = bytearray()
-    for _ in range(64):
-        b, state = next_byte(state)
-        singles.append(b)
-    assert bulk == bytes(singles)
+    singles = b"".join(state.take(1) for _ in range(64))
+    assert bulk == singles
     assert state.iterations == 256
 
 

@@ -1,13 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claes.cipher import (
     FLAG_LZ78,
+    MAGIC,
+    VERSION,
     Envelope,
-    RoundKeys,
     _ctr_keystream,
-    block_decrypt,
     block_encrypt,
     decrypt_message,
     encrypt_message,
@@ -40,7 +42,11 @@ ZERO_KEY_EXPANSION_RK10 = bytes.fromhex("b4ef5bcb3e92e21123e951cf6f8f188e")
 
 
 def _random_round_keys(rng):
-    return RoundKeys(rng.randbytes(176))
+    flat = rng.randbytes(176)
+    return tuple(flat[i * 16:(i + 1) * 16] for i in range(11))
+
+
+ZERO_ROUND_KEYS = (bytes(16),) * 11
 
 
 # --- block core ---------------------------------------------------------------
@@ -48,12 +54,10 @@ def _random_round_keys(rng):
 def test_standard_vector():
     rk = rijndael_round_keys(FIPS_KEY)
     assert block_encrypt(FIPS_PLAINTEXT, rk) == FIPS_CIPHERTEXT
-    assert block_decrypt(FIPS_CIPHERTEXT, rk) == FIPS_PLAINTEXT
 
 
 def test_zero_block_zero_round_keys_golden():
-    rk = RoundKeys(bytes(176))
-    assert block_encrypt(bytes(16), rk) == ZERO_BLOCK_ZERO_KEYS
+    assert block_encrypt(bytes(16), ZERO_ROUND_KEYS) == ZERO_BLOCK_ZERO_KEYS
 
 
 def test_block_core_matches_independent_reference():
@@ -65,38 +69,19 @@ def test_block_core_matches_independent_reference():
         oracle_rk = oracles.expand_key(key)
         assert list(rk) == oracle_rk
         assert block_encrypt(block, rk) == oracles.aes_encrypt(block, oracle_rk)
-        assert block_decrypt(block, rk) == oracles.aes_decrypt(block, oracle_rk)
-
-
-def test_block_roundtrip_many_random_pairs():
-    rng = random.Random(77)
-    for _ in range(10_000):
-        rk = _random_round_keys(rng)
-        block = rng.randbytes(16)
-        assert block_decrypt(block_encrypt(block, rk), rk) == block
-
-
-def test_block_composition_both_orders():
-    rng = random.Random(3)
-    rk = _random_round_keys(rng)
-    block = rng.randbytes(16)
-    assert block_decrypt(block_encrypt(block, rk), rk) == block
-    assert block_encrypt(block_decrypt(block, rk), rk) == block
 
 
 def test_block_requires_16_bytes():
-    rk = RoundKeys(bytes(176))
-    with pytest.raises(ValueError):
-        block_encrypt(bytes(15), rk)
-    with pytest.raises(ValueError):
-        block_decrypt(bytes(17), rk)
+    for size in (15, 17):
+        with pytest.raises(ValueError):
+            block_encrypt(bytes(size), ZERO_ROUND_KEYS)
 
 
 def test_rijndael_expansion_shape_and_first_round():
     rk = rijndael_round_keys(FIPS_KEY)
     assert len(rk) == 11
+    assert all(len(k) == 16 for k in rk)
     assert rk[0] == FIPS_KEY
-    assert bytes(rk) == b"".join(rk)
 
 
 def test_rijndael_expansion_zero_key_golden():
@@ -112,31 +97,31 @@ def test_rijndael_rejects_wrong_key_size():
 
 
 def test_round_keys_validation():
-    with pytest.raises(LengthMismatch):
-        RoundKeys(bytes(175))
-    with pytest.raises(LengthMismatch):
-        RoundKeys([bytes(16)] * 10)
-    rk = RoundKeys([bytes(16)] * 11)
-    assert rk == RoundKeys(bytes(176))
+    for bad in (
+        (bytes(16),) * 10,
+        (bytes(15),) + (bytes(16),) * 10,
+        (bytes(16),) * 10 + (bytes(17),),
+    ):
+        with pytest.raises(LengthMismatch):
+            block_encrypt(bytes(16), bad)
 
 
 def test_batched_counter_mode_matches_per_block():
-    # the batched T-table core against the scalar core and the independent
-    # oracle, under random chaos-style and under Rijndael round keys
+    # the batched T-table core against the independent oracle, under random
+    # chaos-style and under Rijndael round keys
     rng = random.Random(11)
     for nblocks in (1, 2, 17, 33, 256):
         for rk in (_random_round_keys(rng), rijndael_round_keys(rng.randbytes(16))):
             nonce = rng.randbytes(12)
             batched = _ctr_keystream(nonce, nblocks, rk)
             counter_blocks = [nonce + i.to_bytes(4, "big") for i in range(nblocks)]
-            assert batched == b"".join(block_encrypt(b, rk) for b in counter_blocks)
             assert batched == b"".join(oracles.aes_encrypt(b, rk) for b in counter_blocks)
 
 
 def test_ctr_keystream_refuses_counter_wrap():
     # checked before any block is allocated, so this call allocates nothing
     with pytest.raises(MessageTooLong):
-        _ctr_keystream(bytes(12), 2**32 + 1, RoundKeys(bytes(176)))
+        _ctr_keystream(bytes(12), 2**32 + 1, ZERO_ROUND_KEYS)
 
 
 # --- envelope -------------------------------------------------------------------
@@ -164,6 +149,15 @@ def test_envelope_bad_version():
 def test_envelope_truncated_header():
     with pytest.raises(Truncated):
         Envelope.decode(b"CLAES\x01\x00")
+
+
+@given(st.one_of(st.binary(max_size=64), st.binary(max_size=64).map(lambda b: MAGIC + b)))
+@settings(max_examples=300, deadline=None)
+def test_hostile_envelope_decode_raises_only_claes_errors(blob):
+    try:
+        Envelope.decode(blob)
+    except ClaesError:
+        pass
 
 
 def test_envelope_validates_fields():
@@ -298,18 +292,30 @@ def test_standard_schedule_requires_16_byte_master():
 
 
 def test_chaos_round_keys_feed_the_block_core():
-    # pipeline keystream blocks must come from block_encrypt(nonce||counter)
-    # under the chaos round keys
+    # pipeline keystream blocks must be AES(nonce||counter) under the chaos
+    # round keys, checked against the independent oracle
     master = b"pipeline wiring check"
     km = derive_key_material(master)
     nonce = bytes(12)
     env = encrypt_message(master, nonce, bytes(16), compress=False)
-    ks_seed_block = block_encrypt(nonce + (0).to_bytes(4, "big"), RoundKeys(km.round_keys))
+    ks_seed_block = oracles.aes_encrypt(nonce + (0).to_bytes(4, "big"), km.round_keys)
     from claes.keyschedule import generate_keystream, keystream_seed
 
     whitening = generate_keystream(keystream_seed(km.key1), km.final_key, 16)
     expected_payload = bytes(w ^ k for w, k in zip(whitening, ks_seed_block))
     assert env.payload == expected_payload
+
+
+@given(st.binary(min_size=21, max_size=512))
+@settings(max_examples=200, deadline=None)
+def test_hostile_envelope_body_raises_only_claes_errors(body):
+    # a valid magic and version, then arbitrary flags, nonce, declared
+    # length and payload
+    env = Envelope.decode(MAGIC + bytes((VERSION,)) + body)
+    try:
+        decrypt_message(env, b"fuzzing key")
+    except ClaesError:
+        pass
 
 
 def test_chained_tokens_fail_fast_against_declared_length():

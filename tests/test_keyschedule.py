@@ -274,7 +274,6 @@ def test_key_material_matches_oracle_chain():
         k1, k2, k3, fk = oracles.key_material(master)
         assert (km.key1, km.key2, km.key3, km.final_key) == (k1, k2, k3, fk)
         assert km.round_keys == tuple(oracles.round_keys(master))
-        assert km.master_len == len(master)
 
 
 def test_key_material_is_deterministic():

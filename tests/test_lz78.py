@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claes.errors import BadIndex, MisplacedTerminal, OutputLimitExceeded, Truncated
+from claes.errors import BadIndex, ClaesError, MisplacedTerminal, OutputLimitExceeded, Truncated
 from claes.lz78 import Token, compress, decode_tokens, decompress, encode_tokens
 
 import oracles
@@ -130,3 +130,28 @@ def test_decode_rejects_bad_flag():
 def test_decode_rejects_terminal_not_last():
     with pytest.raises(MisplacedTerminal):
         decode_tokens(bytes.fromhex("0100000141"))
+
+
+# streams spliced from whole tokens, terminal tokens, tokens cut before their
+# symbol and stray bytes reach every decoder check; arbitrary bytes alone
+# rarely get past the first flag byte
+_INDICES = st.integers(min_value=0, max_value=40)
+_TOKEN_PIECES = st.one_of(
+    st.builds(lambda i, s: encode_tokens([Token(i, s)]), _INDICES, st.integers(0, 255)),
+    st.builds(lambda i: encode_tokens([Token(i, None)]), _INDICES),
+    st.builds(lambda i: encode_tokens([Token(i, 0)])[:-1], _INDICES),
+    st.binary(min_size=1, max_size=2),
+)
+
+
+@given(
+    st.one_of(st.binary(max_size=512), st.lists(_TOKEN_PIECES, max_size=64).map(b"".join)),
+    st.integers(min_value=0, max_value=1024),
+)
+@settings(max_examples=300, deadline=None)
+def test_hostile_token_stream_raises_only_claes_errors(data, max_output):
+    try:
+        out = decompress(decode_tokens(data), max_output=max_output)
+    except ClaesError:
+        return
+    assert len(out) <= max_output
