@@ -29,6 +29,7 @@ from .errors import (
     OutputLimitExceeded,
     TooFewPoints,
     Truncated,
+    UnknownFlags,
     ZeroState,
 )
 from .keymatrix import (
@@ -78,6 +79,7 @@ __all__ = [
     "Token",
     "TooFewPoints",
     "Truncated",
+    "UnknownFlags",
     "ZeroState",
     "baseline_keystream",
     "block_encrypt",

@@ -10,9 +10,16 @@ output everywhere.
 
 i is carried as the exact rational 39999/10000 rather than a binary
 fraction, so the constant is represented without approximation.
+
+The Python loops here are the reference.  `ChaoticState.take` and the
+burn-in of `seed_from_key1` run the same arithmetic compiled (``_chaos.c``)
+when that kernel can be built and gives the reference's bytes on a known
+stream; otherwise they run the Python loops.
 """
 
 from __future__ import annotations
+
+from . import _native
 
 R_NUM = 39999
 R_DEN = 10000
@@ -24,6 +31,11 @@ _BURN_IN_STEPS = 100
 _PERTURBATION = 1 << 39       # nudge applied when a seed hits a fixed point
 _TAG_SPREAD = 0x01010101_01010101  # replicates a tag byte across 8 bytes
 _MASK64 = (1 << 64) - 1
+
+_UNLOADED = object()
+# The compiled kernel, loaded on first use: a `_native.Kernel`, or None to
+# run the Python loops.  Tests set it to None to force the reference.
+_kernel = _UNLOADED
 
 
 def _scramble64(z: int) -> int:
@@ -84,21 +96,75 @@ class ChaoticState:
         into four 8-bit lanes.  The low bits are used because the map's
         arcsine-shaped invariant density crowds the high bits toward 0 and 1.
         """
-        m = self.m_raw
-        out = bytearray(n)
-        for t in range(n):
-            m = R_NUM * ((m * (_ONE - m)) >> 63) // R_DEN
-            m = R_NUM * ((m * (_ONE - m)) >> 63) // R_DEN
-            m = R_NUM * ((m * (_ONE - m)) >> 63) // R_DEN
-            m = R_NUM * ((m * (_ONE - m)) >> 63) // R_DEN
-            out[t] = ((m >> 8) ^ (m >> 16) ^ (m >> 24) ^ (m >> 32)) & 0xFF
-        self.m_raw = m
+        kernel = compiled_kernel()
+        take = kernel.take if kernel is not None else _take_reference
+        out, self.m_raw = take(self.m_raw, n)
         self.iterations += 4 * n
-        return bytes(out)
+        return out
 
 
 def _step_raw(m: int) -> int:
     return R_NUM * ((m * (_ONE - m)) >> 63) // R_DEN
+
+
+def _take_reference(m: int, n: int) -> tuple[bytes, int]:
+    """``take`` in Python: ``n`` bytes from state ``m``, and the final state."""
+    out = bytearray(n)
+    for t in range(n):
+        m = R_NUM * ((m * (_ONE - m)) >> 63) // R_DEN
+        m = R_NUM * ((m * (_ONE - m)) >> 63) // R_DEN
+        m = R_NUM * ((m * (_ONE - m)) >> 63) // R_DEN
+        m = R_NUM * ((m * (_ONE - m)) >> 63) // R_DEN
+        out[t] = ((m >> 8) ^ (m >> 16) ^ (m >> 24) ^ (m >> 32)) & 0xFF
+    return bytes(out), m
+
+
+def _burn_in_reference(m: int, steps: int, perturbation: int) -> int:
+    """``steps`` map steps, restarted once from ``m + perturbation`` should
+    the orbit reach a fixed point."""
+    restarted = False
+    done = 0
+    while done < steps:
+        successor = _step_raw(m)
+        if successor == m and not restarted:
+            m = (m + perturbation) % _ONE
+            restarted = True
+            done = 0
+            continue
+        m = successor
+        done += 1
+    return m
+
+
+# States the loaded kernel must reproduce before it is used: an ordinary
+# orbit, one next to 1.0, and 1, whose orbit reaches the fixed point 0 and
+# so takes the burn-in restart.
+_KERNEL_CHECK_STATES = (0x0FEDCBA987654321, _ONE - 3, 1)
+
+
+def kernel_matches_reference(kernel: _native.Kernel, n: int = 64) -> bool:
+    """Whether ``kernel`` gives the Python loops' bytes and states."""
+    return all(
+        kernel.take(m, n) == _take_reference(m, n)
+        and kernel.burn_in(m, _BURN_IN_STEPS, _PERTURBATION)
+        == _burn_in_reference(m, _BURN_IN_STEPS, _PERTURBATION)
+        for m in _KERNEL_CHECK_STATES
+    )
+
+
+def compiled_kernel() -> _native.Kernel | None:
+    """The compiled kernel in use, loading and checking it on first call;
+    None when the Python loops run."""
+    global _kernel
+    if _kernel is _UNLOADED:
+        kernel = _native.load()
+        _kernel = kernel if kernel is not None and kernel_matches_reference(kernel) else None
+    return _kernel
+
+
+def chaos_path() -> str:
+    """Which loops the chaos streams run, for reports beside timings."""
+    return "python loop" if compiled_kernel() is None else "compiled kernel (_chaos.c)"
 
 
 def seed_from_key1(key1_prefix: bytes, domain_tag: int) -> ChaoticState:
@@ -122,15 +188,6 @@ def seed_from_key1(key1_prefix: bytes, domain_tag: int) -> ChaoticState:
     u = int.from_bytes(prefix, "big") ^ (domain_tag * _TAG_SPREAD)
     m = _scramble64((u & _MASK64) ^ (u >> 64)) % _SEED_SPAN + 1
 
-    restarted = False
-    done = 0
-    while done < _BURN_IN_STEPS:
-        successor = _step_raw(m)
-        if successor == m and not restarted:
-            m = (m + _PERTURBATION) % _ONE
-            restarted = True
-            done = 0
-            continue
-        m = successor
-        done += 1
-    return ChaoticState(m, domain_tag=domain_tag)
+    kernel = compiled_kernel()
+    burn_in = kernel.burn_in if kernel is not None else _burn_in_reference
+    return ChaoticState(burn_in(m, _BURN_IN_STEPS, _PERTURBATION), domain_tag=domain_tag)

@@ -24,7 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lz78
-from .errors import BadMagic, BadVersion, EmptyKey, LengthMismatch, MessageTooLong, Truncated
+from .errors import (
+    BadMagic,
+    BadVersion,
+    EmptyKey,
+    LengthMismatch,
+    MessageTooLong,
+    Truncated,
+    UnknownFlags,
+)
 from .keymatrix import Matrix3D
 from .keyschedule import derive_key_material, generate_keystream, keystream_seed
 
@@ -164,8 +172,9 @@ _HEADER_LEN = 27
 class Envelope:
     """Binary message container; all integers big-endian.
 
-    Layout: magic "CLAES", version byte, flags byte (bit 0 = LZ78 applied),
-    12-byte nonce, 8-byte pre-compression plaintext length, payload.
+    Layout: magic "CLAES", version byte, flags byte (bit 0 = LZ78 applied,
+    every other bit must be clear), 12-byte nonce, 8-byte pre-compression
+    plaintext length, payload.
     """
 
     flags: int
@@ -176,6 +185,8 @@ class Envelope:
     def __post_init__(self):
         if not 0 <= self.flags <= 0xFF:
             raise ValueError("flags must be a single byte")
+        if self.flags & ~FLAG_LZ78:
+            raise UnknownFlags(f"flags {self.flags:#04x} set bits other than LZ78 ({FLAG_LZ78:#04x})")
         if len(self.nonce) != 12:
             raise LengthMismatch("nonce must be exactly 12 bytes")
         if self.plain_len < 0:

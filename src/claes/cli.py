@@ -7,6 +7,7 @@ import os
 import sys
 
 from . import bench, lz78, selftest
+from .chaos import chaos_path
 from .cipher import Envelope, decrypt_message, encrypt_message
 from .errors import ClaesError
 from .keymatrix import default_matrix, load_matrix
@@ -16,6 +17,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_SELFTEST = 3
+
+# `decompress` stops past this many output bytes unless --max-output raises
+# it: chained LZ78 tokens grow the output quadratically in the input, so a
+# few kilobytes could otherwise ask for gigabytes.
+DEFAULT_MAX_OUTPUT = 64 << 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,6 +45,16 @@ def _nonce_arg(text: str) -> bytes:
     if len(raw) != 12:
         raise argparse.ArgumentTypeError("nonce must be 24 hex digits (12 bytes)")
     return raw
+
+
+def _byte_count_arg(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a byte count: {text!r}") from None
+    if count < 0:
+        raise argparse.ArgumentTypeError("byte count must not be negative")
+    return count
 
 
 def _sizes_arg(text: str) -> tuple[int, ...]:
@@ -122,6 +138,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompress", help="restore a file from a token stream")
     p.add_argument("input")
     p.add_argument("output")
+    p.add_argument(
+        "--max-output",
+        type=_byte_count_arg,
+        default=DEFAULT_MAX_OUTPUT,
+        metavar="BYTES",
+        help=f"refuse streams that decode past BYTES (default {DEFAULT_MAX_OUTPUT})",
+    )
     p.set_defaults(handler=_cmd_decompress)
 
     p = sub.add_parser("bench", help="time keystream generation over the sensor workloads")
@@ -208,8 +231,9 @@ def _cmd_compress(args) -> int:
 def _cmd_decompress(args) -> int:
     with open(args.input, "rb") as fh:
         blob = fh.read()
+    data = lz78.decompress(lz78.decode_tokens(blob), max_output=args.max_output)
     with open(args.output, "wb") as fh:
-        fh.write(lz78.decompress(lz78.decode_tokens(blob)))
+        fh.write(data)
     return EXIT_OK
 
 
@@ -223,6 +247,7 @@ def _cmd_bench(args) -> int:
         profiles = tuple(
             bench.WorkloadProfile(p.sensor, args.sizes, args.reps) for p in profiles
         )
+    print(f"chaos path: {chaos_path()}")
     records = bench.run_bench(profiles, bench.METHODS, master, unit=args.unit, matrix=_matrix(args))
     print(bench.emit_table(records))
     print()

@@ -45,6 +45,10 @@ class BadVersion(ClaesError):
     """An envelope declared an unsupported format version."""
 
 
+class UnknownFlags(ClaesError):
+    """An envelope set a flag bit this version does not define."""
+
+
 class TooFewPoints(ClaesError):
     """A trend fit was requested over fewer points than the minimum."""
 

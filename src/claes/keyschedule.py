@@ -121,8 +121,8 @@ def generate_keystream(seed: ChaoticState, final_key: bytes, n: int) -> bytes:
     the work done.
     """
     raw = seed.take(n)
-    kl = len(final_key)
-    return bytes(raw[t] ^ final_key[t % kl] for t in range(n))
+    pad = (final_key * -(-n // len(final_key)))[:n]
+    return (int.from_bytes(raw, "little") ^ int.from_bytes(pad, "little")).to_bytes(n, "little")
 
 
 def derive_round_keys(seed: ChaoticState) -> tuple[bytes, ...]:

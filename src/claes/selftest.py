@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from . import lz78, vectors
-from .chaos import seed_from_key1
+from .chaos import chaos_path, compiled_kernel, kernel_matches_reference, seed_from_key1
 from .cipher import (
     Envelope,
     block_encrypt,
@@ -79,6 +79,13 @@ def _check_chaos_determinism():
     assert a == b, "chaotic stream is not reproducible"
 
 
+def _check_chaos_kernel():
+    kernel = compiled_kernel()
+    if kernel is not None:
+        assert kernel_matches_reference(kernel, 4096), "compiled kernel differs from the Python loop"
+    return chaos_path()
+
+
 def _check_block_avalanche():
     rng = random.Random(517)
     km = derive_key_material(bytes.fromhex(vectors.ENVELOPE_MASTER))
@@ -104,17 +111,21 @@ CHECKS = (
     ("lz78-roundtrip", _check_lz78_roundtrip),
     ("lfsr-period", _check_lfsr_period),
     ("chaos-determinism", _check_chaos_determinism),
+    ("chaos-kernel", _check_chaos_kernel),
     ("block-avalanche", _check_block_avalanche),
 )
 
 
 def run() -> list[tuple[str, str | None]]:
-    """Run every check; returns (name, None) on pass or (name, reason) on failure."""
+    """Run every check; returns (name, None) on pass or (name, reason) on failure.
+
+    A check may return a note, which is appended to its name on a pass.
+    """
     results = []
     for name, check in CHECKS:
         try:
-            check()
-            results.append((name, None))
+            note = check()
+            results.append((f"{name}: {note}" if note else name, None))
         except Exception as exc:  # report, never abort the remaining checks
             results.append((name, f"{type(exc).__name__}: {exc}"))
     return results

@@ -1,8 +1,19 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from claes import _native, chaos, vectors
 from claes.chaos import ChaoticState, _step_raw, seed_from_key1
+from claes.keyschedule import (
+    DOMAIN_KEY2,
+    DOMAIN_KEYSTREAM,
+    DOMAIN_ROUND_KEYS,
+    derive_key_material,
+    generate_keystream,
+    keystream_seed,
+)
 
 import oracles
 
@@ -126,3 +137,122 @@ def test_streams_reproducible():
     s1 = seed_from_key1(b"determini", 0x11)
     s2 = seed_from_key1(b"determini", 0x11)
     assert s1.take(4096) == s2.take(1024) + s2.take(3072)
+
+
+# --- compiled kernel against the Python reference ----------------------------
+
+
+@pytest.fixture(scope="module")
+def kernel(tmp_path_factory):
+    """A kernel built into a fresh cache directory, so the test does not
+    depend on what the user's cache holds."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        built = _native.load()
+    if built is None:
+        pytest.skip("no C compiler could build the chaos kernel here")
+    assert chaos.kernel_matches_reference(built)
+    return built
+
+
+def _stream(kernel, prefix, tag, lengths):
+    """Seed, then chained takes, on one path: the kernel, or Python when None."""
+    saved = chaos._kernel
+    chaos._kernel = kernel
+    try:
+        state = seed_from_key1(prefix, tag)
+        seeded = state.m_raw
+        chunks = [state.take(n) for n in lengths]
+        return seeded, chunks, state.m_raw, state.iterations
+    finally:
+        chaos._kernel = saved
+
+
+@given(
+    prefix=st.binary(max_size=9),
+    tag=st.integers(0, 255),
+    lengths=st.lists(st.integers(0, 4096), min_size=1, max_size=4),
+)
+@settings(max_examples=150, deadline=None)
+@example(prefix=bytes(9), tag=0, lengths=[0, 1, 4096])  # seed lands on the fixed point 0
+@example(prefix=b"\x01\x02\x03", tag=DOMAIN_KEY2, lengths=[4, 4, 4])
+@example(prefix=b"\x01\x02\x03", tag=DOMAIN_ROUND_KEYS, lengths=[176])
+@example(prefix=b"\x01\x02\x03", tag=DOMAIN_KEYSTREAM, lengths=[4096, 17])
+def test_compiled_kernel_matches_python_loop(kernel, prefix, tag, lengths):
+    assert _stream(kernel, prefix, tag, lengths) == _stream(None, prefix, tag, lengths)
+
+
+@pytest.mark.parametrize("n", [99_999, 100_000, 100_003])
+def test_compiled_kernel_matches_python_loop_on_long_streams(kernel, n):
+    assert _stream(kernel, b"long", 0x5A, [n]) == _stream(None, b"long", 0x5A, [n])
+
+
+def test_burn_in_restarts_once_on_a_fixed_point(kernel):
+    # the all-zero prefix with tag 0 scrambles to the state 1, which steps to
+    # the fixed point 0; burn-in then restarts from 2**39
+    assert chaos._scramble64(0) % chaos._SEED_SPAN + 1 == 1
+    assert _step_raw(1) == 0
+    expected = chaos._burn_in_reference(1 << 39, 100, 0)
+    for burn_in in (kernel.burn_in, chaos._burn_in_reference):
+        assert burn_in(1, 100, 1 << 39) == expected
+        assert burn_in(0, 100, 1 << 39) == expected
+        # a zero nudge lands on the fixed point again, and there is no second restart
+        assert burn_in(0, 100, 0) == 0
+    assert seed_from_key1(bytes(9), 0).m_raw == expected == SEED_ZEROS_00
+
+
+def test_a_kernel_that_differs_is_not_used(tmp_path, monkeypatch):
+    # a library that folds the wrong bits into each byte must not change any byte
+    wrong = tmp_path / "_chaos.c"
+    wrong.write_text(_native._SOURCE.read_text().replace("(m >> 32)", "(m >> 31)"))
+    monkeypatch.setattr(_native, "_SOURCE", wrong)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    built = _native.load()
+    if built is None:
+        pytest.skip("no C compiler could build the chaos kernel here")
+    assert not chaos.kernel_matches_reference(built)
+    monkeypatch.setattr(chaos, "_kernel", chaos._UNLOADED)
+    assert chaos.compiled_kernel() is None
+    assert seed_from_key1(bytes(9), 0x00).take(1)[0] == FIRST_BYTE_ZEROS_00
+
+
+def _golden_vectors_hold():
+    for entry in vectors.GOLDEN_KEYS.values():
+        km = derive_key_material(bytes.fromhex(entry["master"]))
+        ks = generate_keystream(keystream_seed(km.key1), km.final_key, 64)
+        assert ks.hex() == entry["keystream64"]
+        assert b"".join(km.round_keys)[:64].hex() == entry["round_keys64"]
+        assert km.key2[:64].hex() == entry["key2"]
+
+
+def test_loader_falls_back_without_a_compiler(tmp_path, monkeypatch):
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    monkeypatch.setenv("PATH", str(empty))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    assert _native.load() is None
+    assert list((tmp_path / "cache" / "claes").iterdir()) == []  # no temporary file left
+    monkeypatch.setattr(chaos, "_kernel", chaos._UNLOADED)
+    assert chaos.compiled_kernel() is None
+    assert chaos.chaos_path() == "python loop"
+    _golden_vectors_hold()
+
+
+def test_loader_falls_back_when_the_cache_cannot_be_written(tmp_path, monkeypatch):
+    # a cache directory below a regular file cannot be created, whatever the
+    # process's privileges; a read-only directory would still be writable by root
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_bytes(b"")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    assert _native.load() is None
+    monkeypatch.setattr(chaos, "_kernel", chaos._UNLOADED)
+    assert chaos.compiled_kernel() is None
+    _golden_vectors_hold()
+
+
+def test_loader_falls_back_on_a_corrupt_library(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    library = _native.library_path(_native._SOURCE.read_bytes())
+    library.parent.mkdir()
+    library.write_bytes(b"not a shared library")
+    assert _native.load() is None

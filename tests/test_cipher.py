@@ -24,6 +24,7 @@ from claes.errors import (
     MessageTooLong,
     OutputLimitExceeded,
     Truncated,
+    UnknownFlags,
 )
 from claes.keyschedule import derive_key_material
 from claes.lz78 import Token, encode_tokens
@@ -158,6 +159,17 @@ def test_hostile_envelope_decode_raises_only_claes_errors(blob):
         Envelope.decode(blob)
     except ClaesError:
         pass
+
+
+@pytest.mark.parametrize("flags", [0x02, 0x80, 0xFE, 0xFF])
+def test_envelope_rejects_unknown_flags(flags):
+    master = b"flag check"
+    blob = bytearray(encrypt_message(master, bytes(12), b"reading", compress=False).encode())
+    blob[6] = flags
+    with pytest.raises(UnknownFlags):
+        Envelope.decode(bytes(blob))
+    with pytest.raises(UnknownFlags):
+        Envelope(flags=flags, nonce=bytes(12), plain_len=7, payload=bytes(blob[27:]))
 
 
 def test_envelope_validates_fields():
@@ -306,12 +318,12 @@ def test_chaos_round_keys_feed_the_block_core():
     assert env.payload == expected_payload
 
 
-@given(st.binary(min_size=21, max_size=512))
+@given(st.sampled_from([0, FLAG_LZ78]), st.binary(min_size=20, max_size=512))
 @settings(max_examples=200, deadline=None)
-def test_hostile_envelope_body_raises_only_claes_errors(body):
-    # a valid magic and version, then arbitrary flags, nonce, declared
-    # length and payload
-    env = Envelope.decode(MAGIC + bytes((VERSION,)) + body)
+def test_hostile_envelope_body_raises_only_claes_errors(flags, body):
+    # a valid magic, version and flags, then arbitrary nonce, declared
+    # length and payload (other flags are refused by Envelope.decode)
+    env = Envelope.decode(MAGIC + bytes((VERSION, flags)) + body)
     try:
         decrypt_message(env, b"fuzzing key")
     except ClaesError:

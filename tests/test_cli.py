@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from claes import lz78
+from claes import chaos, cli, lz78
 from claes.cipher import Envelope, encrypt_message
 from claes.cli import EXIT_DATA, EXIT_OK, EXIT_SELFTEST, EXIT_USAGE, main
 from claes.keyschedule import derive_key_material
@@ -146,6 +146,37 @@ def test_decompress_rejects_corrupt_stream(tmp_path, capsys):
     assert "BadIndex" in capsys.readouterr().err
 
 
+def _chained_token_file(tmp_path):
+    # token t extends entry t by one byte: 15.9 KB that decode to 8,002,000 bytes
+    packed = tmp_path / "packed"
+    packed.write_bytes(lz78.encode_tokens([lz78.Token(t, 65) for t in range(4000)]))
+    return packed
+
+
+def test_decompress_refuses_output_past_the_cap(tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["decompress", str(_chained_token_file(tmp_path)), str(out)]
+    assert main(args + ["--max-output", "1000"]) == EXIT_DATA
+    assert "OutputLimitExceeded" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_decompress_cap_applies_by_default_and_the_flag_raises_it(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "DEFAULT_MAX_OUTPUT", 8_001_999)
+    packed = _chained_token_file(tmp_path)
+    out = tmp_path / "out"
+    assert main(["decompress", str(packed), str(out)]) == EXIT_DATA
+    assert "OutputLimitExceeded" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["decompress", str(packed), str(out), "--max-output", "8002000"]) == EXIT_OK
+    assert out.stat().st_size == 8_002_000
+
+
+def test_decompress_rejects_a_negative_cap(tmp_path):
+    args = ["decompress", str(_chained_token_file(tmp_path)), str(tmp_path / "out")]
+    assert main(args + ["--max-output", "-1"]) == EXIT_USAGE
+
+
 def test_bench_tiny_run_with_csv(tmp_path, capsys):
     csv_path = tmp_path / "bench.csv"
     code = main(
@@ -153,6 +184,7 @@ def test_bench_tiny_run_with_csv(tmp_path, capsys):
     )
     assert code == EXIT_OK
     out = capsys.readouterr().out
+    assert out.startswith("chaos path: ")
     assert "| Method | Sensor |" in out
     assert "slope" in out
     lines = csv_path.read_text().strip().splitlines()
@@ -190,4 +222,13 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "ok   aes-standard-vector" in out
+    assert "ok   chaos-kernel: " in out
+    assert "FAIL" not in out
+
+
+def test_selftest_passes_on_the_python_loop(monkeypatch, capsys):
+    monkeypatch.setattr(chaos, "_kernel", None)
+    assert main(["selftest"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "ok   chaos-kernel: python loop" in out
     assert "FAIL" not in out

@@ -153,6 +153,14 @@ def test_keystream_zero_final_key_is_raw_chaos():
     assert a == b
 
 
+@given(st.binary(min_size=1, max_size=40), st.integers(0, 300))
+@settings(max_examples=100, deadline=None)
+def test_keystream_is_chaos_xor_cycled_final_key(final_key, n):
+    raw = keystream_seed(b"whitening").take(n)
+    expected = bytes(raw[t] ^ final_key[t % len(final_key)] for t in range(n))
+    assert generate_keystream(keystream_seed(b"whitening"), final_key, n) == expected
+
+
 def test_keystream_frozen_vector():
     km = derive_key_material(bytes(range(16)))
     ks = generate_keystream(keystream_seed(km.key1), km.final_key, 32)
