@@ -1,0 +1,276 @@
+/* Compiled twins of the three per-byte loops of the pipeline: the Q0.63
+ * logistic map (chaos.py), AES-128 counter mode (cipher.py) and the LZ78
+ * codec with its token wire format (lz78.py).
+ *
+ * Built on first use with the system C compiler and loaded through ctypes
+ * (see _native.py).  Every function must give exactly the bytes of the
+ * Python reference; the loader checks each of them on every load and runs
+ * the Python code instead on any difference.
+ */
+#include <stddef.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+/* --- logistic map ---------------------------------------------------------- */
+
+#define ONE (UINT64_C(1) << 63)
+
+/* m' = 39999 * ((m * (2**63 - m)) >> 63) // 10000, truncating.
+ * q < 2**61, so 39999 * q needs more than 64 bits; with q = 10000a + b,
+ * 39999q // 10000 = 39999a + 39999b // 10000 exactly, and every division
+ * stays 64-bit. */
+static inline uint64_t step(uint64_t m)
+{
+    uint64_t q = (uint64_t)(((unsigned __int128)m * (ONE - m)) >> 63);
+    return 39999 * (q / 10000) + 39999 * (q % 10000) / 10000;
+}
+
+/* ChaoticState.take: n bytes at 4 steps each; returns the final state. */
+uint64_t claes_chaos_take(uint64_t m, unsigned char *out, size_t n)
+{
+    for (size_t t = 0; t < n; t++) {
+        m = step(step(step(step(m))));
+        out[t] = (unsigned char)((m >> 8) ^ (m >> 16) ^ (m >> 24) ^ (m >> 32));
+    }
+    return m;
+}
+
+/* seed_from_key1's burn-in: `steps` steps, restarted once from
+ * m + perturbation (mod 2**63) should the orbit reach a fixed point. */
+uint64_t claes_chaos_burn_in(uint64_t m, unsigned steps, uint64_t perturbation)
+{
+    int restarted = 0;
+    unsigned done = 0;
+    while (done < steps) {
+        uint64_t successor = step(m);
+        if (successor == m && !restarted) {
+            m = (m + perturbation) % ONE;
+            restarted = 1;
+            done = 0;
+            continue;
+        }
+        m = successor;
+        done++;
+    }
+    return m;
+}
+
+/* --- AES-128 counter mode ---------------------------------------------------- */
+
+static inline uint32_t le32(const unsigned char *p)
+{
+    return (uint32_t)p[0] | (uint32_t)p[1] << 8 | (uint32_t)p[2] << 16 | (uint32_t)p[3] << 24;
+}
+
+static inline void put_le32(unsigned char *p, uint32_t w)
+{
+    p[0] = (unsigned char)w;
+    p[1] = (unsigned char)(w >> 8);
+    p[2] = (unsigned char)(w >> 16);
+    p[3] = (unsigned char)(w >> 24);
+}
+
+/* One state column after SubBytes, ShiftRows and MixColumns: row r comes
+ * from row r of the r-th word of (a, b, c, d), through T-table r. */
+static inline uint32_t mixed_column(const unsigned char *tables, uint32_t a, uint32_t b, uint32_t c, uint32_t d)
+{
+    return le32(tables + 4 * (a & 0xFF))
+         ^ le32(tables + 1024 + 4 * (b >> 8 & 0xFF))
+         ^ le32(tables + 2048 + 4 * (c >> 16 & 0xFF))
+         ^ le32(tables + 3072 + 4 * (d >> 24));
+}
+
+/* The same column after SubBytes and ShiftRows only (the last round). */
+static inline uint32_t last_column(const unsigned char *sbox, uint32_t a, uint32_t b, uint32_t c, uint32_t d)
+{
+    return (uint32_t)sbox[a & 0xFF]
+         | (uint32_t)sbox[b >> 8 & 0xFF] << 8
+         | (uint32_t)sbox[c >> 16 & 0xFF] << 16
+         | (uint32_t)sbox[d >> 24] << 24;
+}
+
+/* AES-128(nonce || counter) for counters 0 .. nblocks-1 (32-bit big-endian),
+ * into out[16 * nblocks], with the 176 round-key bytes used verbatim.
+ *
+ * `tables` holds cipher._T_TABLES: the four 256-entry T-tables of Daemen &
+ * Rijmen, "AES Proposal: Rijndael", section 5.2, as little-endian words.  A
+ * state column c is bytes 4c..4c+3 read as one little-endian word, row r in
+ * bits 8r, so ShiftRows takes row r of new column c from column c + r. */
+void claes_aes_ctr(const unsigned char *nonce, uint64_t nblocks, const unsigned char *round_keys,
+                   const unsigned char *tables, const unsigned char *sbox, unsigned char *out)
+{
+    uint32_t rk[44];
+    for (int i = 0; i < 44; i++)
+        rk[i] = le32(round_keys + 4 * i);
+    uint32_t n0 = le32(nonce) ^ rk[0], n1 = le32(nonce + 4) ^ rk[1], n2 = le32(nonce + 8) ^ rk[2];
+
+    for (uint64_t block = 0; block < nblocks; block++) {
+        uint32_t ctr = (uint32_t)block;
+        /* the counter's bytes, most significant first, as a little-endian word */
+        uint32_t s0 = n0, s1 = n1, s2 = n2,
+                 s3 = ((ctr >> 24) | (ctr >> 8 & 0xFF00) | (ctr << 8 & 0xFF0000) | ctr << 24) ^ rk[3];
+        for (int rnd = 1; rnd < 10; rnd++) {
+            const uint32_t *k = rk + 4 * rnd;
+            uint32_t w0 = mixed_column(tables, s0, s1, s2, s3) ^ k[0];
+            uint32_t w1 = mixed_column(tables, s1, s2, s3, s0) ^ k[1];
+            uint32_t w2 = mixed_column(tables, s2, s3, s0, s1) ^ k[2];
+            uint32_t w3 = mixed_column(tables, s3, s0, s1, s2) ^ k[3];
+            s0 = w0, s1 = w1, s2 = w2, s3 = w3;
+        }
+        unsigned char *o = out + 16 * block;
+        put_le32(o, last_column(sbox, s0, s1, s2, s3) ^ rk[40]);
+        put_le32(o + 4, last_column(sbox, s1, s2, s3, s0) ^ rk[41]);
+        put_le32(o + 8, last_column(sbox, s2, s3, s0, s1) ^ rk[42]);
+        put_le32(o + 12, last_column(sbox, s3, s0, s1, s2) ^ rk[43]);
+    }
+}
+
+/* --- LZ78 ------------------------------------------------------------------ */
+
+/* Trie edges in an open-addressing table keyed by (node << 8) | byte; a
+ * child of 0 marks an empty slot (entries are numbered from 1). */
+struct edge {
+    uint64_t key;
+    uint64_t child;
+};
+
+static size_t slot_of(const struct edge *table, size_t mask, uint64_t key)
+{
+    size_t i = (size_t)((key * UINT64_C(0x9E3779B97F4A7C15)) >> 32) & mask;
+    while (table[i].child && table[i].key != key)
+        i = (i + 1) & mask;
+    return i;
+}
+
+static size_t put_varint(unsigned char *out, size_t o, uint64_t v)
+{
+    while (v >= 0x80) {
+        out[o++] = (unsigned char)((v & 0x7F) | 0x80);
+        v >>= 7;
+    }
+    out[o++] = (unsigned char)v;
+    return o;
+}
+
+/* lz78.pack: encode_tokens(compress(in[0..n))) into out, which must hold
+ * n * (varint length of n + 2) bytes.  Returns the bytes written, or
+ * SIZE_MAX when the table's memory cannot be had. */
+size_t claes_lz78_pack(const unsigned char *in, size_t n, unsigned char *out)
+{
+    size_t mask = 255, used = 0, o = 0;
+    struct edge *table = calloc(mask + 1, sizeof *table);
+    if (!table)
+        return SIZE_MAX;
+    uint64_t node = 0, next = 1;
+    for (size_t i = 0; i < n; i++) {
+        uint64_t key = node << 8 | in[i];
+        size_t slot = slot_of(table, mask, key);
+        if (table[slot].child) {
+            node = table[slot].child;
+            continue;
+        }
+        o = put_varint(out, o, node);
+        out[o++] = 0x01;
+        out[o++] = in[i];
+        table[slot].key = key;
+        table[slot].child = next++;
+        node = 0;
+        if (++used * 2 > mask) {
+            /* keep the load at most one half: double and reinsert */
+            size_t wider = 2 * mask + 1;
+            struct edge *grown = calloc(wider + 1, sizeof *grown);
+            if (!grown) {
+                free(table);
+                return SIZE_MAX;
+            }
+            for (size_t j = 0; j <= mask; j++)
+                if (table[j].child)
+                    grown[slot_of(grown, wider, table[j].key)] = table[j];
+            free(table);
+            table = grown;
+            mask = wider;
+        }
+    }
+    if (node) {
+        o = put_varint(out, o, node);
+        out[o++] = 0x00;
+    }
+    free(table);
+    return o;
+}
+
+/* lz78.unpack: decompress(decode_tokens(in[0..n)), limit).
+ *
+ * With out NULL, checks the whole stream and stores the output length in
+ * *out_len; with out holding that many bytes, also writes the output.
+ * Each dictionary entry is an (offset, length) piece of the output.
+ * Returns 0, or -1 wherever the Python reference raises (a truncated or
+ * malformed token, a terminal token that is not last, an index past the
+ * dictionary, output past `limit`) and when scratch memory cannot be had. */
+int claes_lz78_unpack(const unsigned char *in, size_t n, uint64_t limit,
+                      unsigned char *out, uint64_t *out_len)
+{
+    /* every token takes at least two bytes */
+    size_t cap = n / 2 + 1, entries = 1, pos = 0;
+    uint64_t *start = malloc(cap * sizeof *start);
+    uint64_t *len = malloc(cap * sizeof *len);
+    uint64_t total = 0;
+    int status = -1;
+    if (!start || !len)
+        goto done;
+    start[0] = len[0] = 0;
+    while (pos < n) {
+        uint64_t index = 0;
+        unsigned shift = 0;
+        int too_big = 0;
+        unsigned char b;
+        do {
+            if (pos >= n)
+                goto done;
+            b = in[pos++];
+            /* an index of 2**35 or more is reported as an error; it is past
+             * the dictionary of any stream shorter than 2**36 bytes, and
+             * on an error the caller asks the Python reference */
+            if (shift < 35) {
+                index |= (uint64_t)(b & 0x7F) << shift;
+                shift += 7;
+            } else if (b & 0x7F) {
+                too_big = 1;
+            }
+        } while (b & 0x80);
+        if (pos >= n || too_big || index >= entries)
+            goto done;
+        unsigned char flag = in[pos++];
+        uint64_t piece = len[index];
+        if (flag == 0x00) {
+            if (pos != n)
+                goto done;
+        } else if (flag == 0x01) {
+            if (pos >= n)
+                goto done;
+            piece++;
+        } else {
+            goto done;
+        }
+        if (piece > limit - total)
+            goto done;
+        if (out) {
+            memcpy(out + total, out + start[index], len[index]);
+            if (flag)
+                out[total + piece - 1] = in[pos];
+        }
+        if (flag)
+            pos++;
+        start[entries] = total;
+        len[entries] = piece;
+        entries++;
+        total += piece;
+    }
+    *out_len = total;
+    status = 0;
+done:
+    free(start);
+    free(len);
+    return status;
+}

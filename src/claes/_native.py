@@ -1,16 +1,19 @@
-"""Build and load the compiled chaos kernel, ``_chaos.c``, through ctypes.
+"""Build, load and check the compiled kernel, ``_kernel.c``, through ctypes.
 
-The kernel is compiled on first use with the system ``cc`` into the user's
-cache directory (``$XDG_CACHE_HOME/claes``, else ``~/.cache/claes``), under
-a file name that carries a CRC-32 of the source and the compiler flags, so
-an edited source never loads an old build.  The library is written to a
+The kernel runs the three per-byte loops of the pipeline: the logistic map
+(`chaos`), AES-128 counter mode (`cipher`) and the LZ78 codec (`lz78`).
+It is compiled on first use with the system ``cc`` into the user's cache
+directory (``$XDG_CACHE_HOME/claes``, else ``~/.cache/claes``), under a file
+name that carries a CRC-32 of the source and the compiler flags, so an
+edited source never loads an old build.  The library is written to a
 temporary file and renamed into place, so a concurrent process sees either
 no library or a whole one.  Later imports load the cached file.
 
-`load` returns None when there is no compiler, the build fails, the cache
-directory cannot be written or the library does not load; callers then run
-the Python loops.  It does not check what the library computes: `chaos`
-compares it with the Python reference before using it.
+`kernel` loads it once and uses it only if every function reproduces its
+Python reference (`kernel_matches_reference`).  When there is no compiler,
+the build fails, the cache directory cannot be written, the library does
+not load or any function gives other bytes, it returns None and callers run
+the Python and numpy code, which give the same bytes more slowly.
 """
 
 from __future__ import annotations
@@ -20,12 +23,14 @@ import os
 import zlib
 from pathlib import Path
 
-_SOURCE = Path(__file__).with_name("_chaos.c")
+_SOURCE = Path(__file__).with_name("_kernel.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC")
+_UINT64_MAX = (1 << 64) - 1
+_SIZE_MAX = ctypes.c_size_t(-1).value
 
 
 class Kernel:
-    """ctypes bindings of the functions in ``_chaos.c``."""
+    """ctypes bindings of the functions in ``_kernel.c``."""
 
     def __init__(self, lib: ctypes.CDLL):
         self._lib = lib
@@ -36,12 +41,61 @@ class Kernel:
         self.burn_in = lib.claes_chaos_burn_in
         self.burn_in.argtypes = (ctypes.c_uint64, ctypes.c_uint, ctypes.c_uint64)
         self.burn_in.restype = ctypes.c_uint64
+        self._ctr = lib.claes_aes_ctr
+        self._ctr.argtypes = (ctypes.c_char_p, ctypes.c_uint64) + (ctypes.c_char_p,) * 4
+        self._ctr.restype = None
+        self._pack = lib.claes_lz78_pack
+        self._pack.argtypes = (ctypes.c_char_p, ctypes.c_size_t, ctypes.c_char_p)
+        self._pack.restype = ctypes.c_size_t
+        self._unpack = lib.claes_lz78_unpack
+        self._unpack.argtypes = (
+            ctypes.c_char_p,
+            ctypes.c_size_t,
+            ctypes.c_uint64,
+            ctypes.c_char_p,
+            ctypes.POINTER(ctypes.c_uint64),
+        )
+        self._unpack.restype = ctypes.c_int
 
     def take(self, m: int, n: int) -> tuple[bytes, int]:
         """``n`` stream bytes from state ``m``, and the state after them."""
         buf = ctypes.create_string_buffer(n)
         m = self._take(m, buf, n)
         return buf.raw, m
+
+    def ctr(self, nonce: bytes, nblocks: int, round_keys: bytes, tables: bytes, sbox: bytes) -> bytes:
+        """AES-128 counter-mode blocks 0 .. ``nblocks`` - 1 under the 176
+        ``round_keys`` bytes, from the 4096-byte T-tables and the S-box.
+        The caller checks every length."""
+        buf = ctypes.create_string_buffer(16 * nblocks)
+        self._ctr(nonce, nblocks, round_keys, tables, sbox, buf)
+        return buf.raw
+
+    def pack(self, data: bytes) -> bytes | None:
+        """``encode_tokens(compress(data))``; None when the kernel's memory
+        cannot be had."""
+        n = len(data)
+        # at most n tokens, each a varint index below n and at most 2 bytes more
+        buf = ctypes.create_string_buffer(n * (max(1, -(-n.bit_length() // 7)) + 2))
+        size = self._pack(data, n, buf)
+        if size == _SIZE_MAX:
+            return None
+        return ctypes.string_at(buf, size)
+
+    def unpack(self, blob: bytes, max_output: int | None) -> bytes | None:
+        """``decompress(decode_tokens(blob), max_output)`` for ``max_output``
+        None or non-negative; None wherever the reference raises, and when
+        the kernel's memory cannot be had."""
+        limit = _UINT64_MAX if max_output is None else min(max_output, _UINT64_MAX)
+        size = ctypes.c_uint64()
+        # the first call checks the stream and sizes the output; no claimed
+        # length is trusted
+        if self._unpack(blob, len(blob), limit, None, ctypes.byref(size)):
+            return None
+        buf = ctypes.create_string_buffer(size.value)
+        if self._unpack(blob, len(blob), limit, buf, ctypes.byref(size)):
+            return None
+        return buf.raw
 
 
 def library_path(source: bytes) -> Path | None:
@@ -51,7 +105,7 @@ def library_path(source: bytes) -> Path | None:
     if not os.path.isabs(base):
         return None
     tag = zlib.crc32(" ".join(_CFLAGS).encode(), zlib.crc32(source))
-    return Path(base, "claes", f"chaos-{tag:08x}.so")
+    return Path(base, "claes", f"kernel-{tag:08x}.so")
 
 
 def _build(source: bytes, lib_path: Path) -> bool:
@@ -83,7 +137,8 @@ def _build(source: bytes, lib_path: Path) -> bool:
 
 
 def load() -> Kernel | None:
-    """The compiled kernel, built first if no cached build exists; None on failure."""
+    """The compiled kernel, built first if no cached build exists; None on
+    failure.  What it computes is not checked here."""
     try:
         source = _SOURCE.read_bytes()
     except OSError:
@@ -97,3 +152,37 @@ def load() -> Kernel | None:
         return Kernel(ctypes.CDLL(str(lib_path)))
     except (OSError, AttributeError):
         return None
+
+
+def kernel_matches_reference(kernel: Kernel, chaos_bytes: int = 64) -> bool:
+    """Whether every function of ``kernel`` gives its Python reference's
+    bytes: the chaos loops on ``chaos_bytes``-byte streams, counter mode on
+    pinned vectors, and the LZ78 codec on fixed inputs."""
+    from . import chaos, cipher, lz78
+
+    return (
+        chaos.kernel_matches_reference(kernel, chaos_bytes)
+        and cipher.kernel_matches_reference(kernel)
+        and lz78.kernel_matches_reference(kernel)
+    )
+
+
+_UNLOADED = object()
+# The kernel in use, loaded and checked on first use: a `Kernel`, or None to
+# run the Python and numpy code.  Tests set it to None to force that code.
+_kernel = _UNLOADED
+
+
+def kernel() -> Kernel | None:
+    """The checked kernel, loading it on first call; None when the Python
+    and numpy code runs."""
+    global _kernel
+    if _kernel is _UNLOADED:
+        built = load()
+        _kernel = built if built is not None and kernel_matches_reference(built) else None
+    return _kernel
+
+
+def kernel_path() -> str:
+    """Which code runs the per-byte loops, for reports beside timings."""
+    return "python/numpy" if kernel() is None else "compiled (_kernel.c)"

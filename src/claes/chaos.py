@@ -12,9 +12,9 @@ i is carried as the exact rational 39999/10000 rather than a binary
 fraction, so the constant is represented without approximation.
 
 The Python loops here are the reference.  `ChaoticState.take` and the
-burn-in of `seed_from_key1` run the same arithmetic compiled (``_chaos.c``)
-when that kernel can be built and gives the reference's bytes on a known
-stream; otherwise they run the Python loops.
+burn-in of `seed_from_key1` run the same arithmetic compiled (``_kernel.c``,
+see `_native`) when that kernel can be built and gives the reference's
+bytes on known streams; otherwise they run the Python loops.
 """
 
 from __future__ import annotations
@@ -31,11 +31,6 @@ _BURN_IN_STEPS = 100
 _PERTURBATION = 1 << 39       # nudge applied when a seed hits a fixed point
 _TAG_SPREAD = 0x01010101_01010101  # replicates a tag byte across 8 bytes
 _MASK64 = (1 << 64) - 1
-
-_UNLOADED = object()
-# The compiled kernel, loaded on first use: a `_native.Kernel`, or None to
-# run the Python loops.  Tests set it to None to force the reference.
-_kernel = _UNLOADED
 
 
 def _scramble64(z: int) -> int:
@@ -96,7 +91,7 @@ class ChaoticState:
         into four 8-bit lanes.  The low bits are used because the map's
         arcsine-shaped invariant density crowds the high bits toward 0 and 1.
         """
-        kernel = compiled_kernel()
+        kernel = _native.kernel()
         take = kernel.take if kernel is not None else _take_reference
         out, self.m_raw = take(self.m_raw, n)
         self.iterations += 4 * n
@@ -143,28 +138,14 @@ _KERNEL_CHECK_STATES = (0x0FEDCBA987654321, _ONE - 3, 1)
 
 
 def kernel_matches_reference(kernel: _native.Kernel, n: int = 64) -> bool:
-    """Whether ``kernel`` gives the Python loops' bytes and states."""
+    """Whether ``kernel``'s chaos functions give the Python loops' bytes and
+    states."""
     return all(
         kernel.take(m, n) == _take_reference(m, n)
         and kernel.burn_in(m, _BURN_IN_STEPS, _PERTURBATION)
         == _burn_in_reference(m, _BURN_IN_STEPS, _PERTURBATION)
         for m in _KERNEL_CHECK_STATES
     )
-
-
-def compiled_kernel() -> _native.Kernel | None:
-    """The compiled kernel in use, loading and checking it on first call;
-    None when the Python loops run."""
-    global _kernel
-    if _kernel is _UNLOADED:
-        kernel = _native.load()
-        _kernel = kernel if kernel is not None and kernel_matches_reference(kernel) else None
-    return _kernel
-
-
-def chaos_path() -> str:
-    """Which loops the chaos streams run, for reports beside timings."""
-    return "python loop" if compiled_kernel() is None else "compiled kernel (_chaos.c)"
 
 
 def seed_from_key1(key1_prefix: bytes, domain_tag: int) -> ChaoticState:
@@ -188,6 +169,6 @@ def seed_from_key1(key1_prefix: bytes, domain_tag: int) -> ChaoticState:
     u = int.from_bytes(prefix, "big") ^ (domain_tag * _TAG_SPREAD)
     m = _scramble64((u & _MASK64) ^ (u >> 64)) % _SEED_SPAN + 1
 
-    kernel = compiled_kernel()
+    kernel = _native.kernel()
     burn_in = kernel.burn_in if kernel is not None else _burn_in_reference
     return ChaoticState(burn_in(m, _BURN_IN_STEPS, _PERTURBATION), domain_tag=domain_tag)

@@ -10,6 +10,10 @@ expansion so the core can be checked against standard vectors and driven in
 a compatibility mode.  Counter mode runs the forward cipher for encryption
 and decryption alike, so there is no inverse cipher.
 
+Counter mode runs in the compiled kernel (``_kernel.c``, see `_native`)
+when it is in use, else in the numpy core (`_aes_numpy`), which also runs
+`block_encrypt`.  numpy is imported only when that core first runs.
+
 Messages are processed as: optional LZ78 compression, XOR with the
 message-length chaotic keystream, then counter-mode block encryption.
 There is no authentication tag; corruption is surfaced only through the
@@ -21,9 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import lz78
+from . import _native, lz78, vectors
 from .errors import (
     BadMagic,
     BadVersion,
@@ -90,50 +92,37 @@ def rijndael_round_keys(key: bytes) -> tuple[bytes, ...]:
 
 # --- block core and counter mode ---------------------------------------------
 #
-# Counter-mode keystream blocks are independent, so they are produced in one
-# vectorized pass over all blocks; tests compare that pass with the
-# independent oracle, block by block.
-#
 # Rounds 1-9 use the 32-bit T-table form (Daemen & Rijmen, "AES Proposal:
 # Rijndael", section 5.2): SubBytes and MixColumns fold into four tables, so a
 # state column is four table lookups XORed with a round-key word.  Column c
 # is state bytes 4c..4c+3 read as one little-endian word (row r in bits 8r).
-# The tables are explicitly little-endian so their uint8 view is the same on
-# every host.
+#
+# The tables are defined once, here, as bytes: table r, entry a, is the
+# MixColumns column (rows 0-3, low byte first) of S(a) in row r, as a
+# little-endian word.  The compiled kernel and the numpy core read the same
+# bytes.  Counter-mode blocks are independent, so both produce all blocks of
+# a message in one call; tests compare them with the independent oracle.
 
-_NP_SBOX = np.array(SBOX, dtype=np.uint8)
-_NP_SHIFT = np.array(SHIFT, dtype=np.intp)
-
-_S1 = _NP_SBOX.astype(np.uint32)
-_S2 = np.array(MUL2, dtype=np.uint32)[_NP_SBOX]
-_S3 = np.array(MUL3, dtype=np.uint32)[_NP_SBOX]
-# table r: the MixColumns column (rows 0-3, low byte first) of row r's byte
-_T0 = (_S2 | _S1 << 8 | _S1 << 16 | _S3 << 24).astype("<u4")
-_T1 = (_S3 | _S2 << 8 | _S1 << 16 | _S1 << 24).astype("<u4")
-_T2 = (_S1 | _S3 << 8 | _S2 << 16 | _S1 << 24).astype("<u4")
-_T3 = (_S1 | _S1 << 8 | _S3 << 16 | _S2 << 24).astype("<u4")
+_SBOX_BYTES = bytes(SBOX)
+# the column of S(a) in row 0 is (2, 1, 1, 3) * S(a); row r rotates it down by r
+_COLUMNS = tuple((MUL2[s], s, s, MUL3[s]) for s in SBOX)
+_T_TABLES = bytes(b for r in range(4) for col in _COLUMNS for b in col[4 - r:] + col[:4 - r])
 
 
-def _encrypt_blocks(states: np.ndarray, round_keys: tuple[bytes, ...]) -> np.ndarray:
+def _round_key_bytes(round_keys: tuple[bytes, ...]) -> bytes:
     if len(round_keys) != 11 or any(len(k) != 16 for k in round_keys):
         raise LengthMismatch("round keys must be 11 blocks of 16 bytes")
-    rk = np.frombuffer(b"".join(round_keys), dtype=np.uint8).reshape(11, 16)
-    rk_words = rk.view("<u4")
-    s = states ^ rk[0]
-    for rnd in range(1, 10):
-        # t[:, c, r] is the byte ShiftRows moves to row r of column c
-        t = s[:, _NP_SHIFT].reshape(-1, 4, 4)
-        w = _T0[t[:, :, 0]] ^ _T1[t[:, :, 1]] ^ _T2[t[:, :, 2]] ^ _T3[t[:, :, 3]] ^ rk_words[rnd]
-        # gathers over strided columns need not come out C-contiguous
-        s = np.ascontiguousarray(w, dtype="<u4").view(np.uint8)
-    return _NP_SBOX[s[:, _NP_SHIFT]] ^ rk[10]
+    return b"".join(round_keys)
 
 
 def block_encrypt(block: bytes, round_keys: tuple[bytes, ...]) -> bytes:
     """One AES-128 block with the supplied round keys used verbatim."""
     if len(block) != 16:
         raise ValueError("block must be 16 bytes")
-    return _encrypt_blocks(np.frombuffer(block, dtype=np.uint8).reshape(1, 16), round_keys).tobytes()
+    rk = _round_key_bytes(round_keys)
+    from . import _aes_numpy
+
+    return _aes_numpy.encrypt_block(bytes(block), rk)
 
 
 # counters are 32-bit, so one nonce covers at most this many blocks
@@ -145,13 +134,24 @@ def _ctr_keystream(nonce: bytes, nblocks: int, round_keys: tuple[bytes, ...]) ->
         raise MessageTooLong(
             f"{nblocks} blocks exceed the {MAX_CTR_BLOCKS} a 32-bit counter can number"
         )
-    if nblocks == 0:
-        return b""
-    blocks = np.empty((nblocks, 16), dtype=np.uint8)
-    blocks[:, :12] = np.frombuffer(nonce, dtype=np.uint8)
-    counters = np.arange(nblocks, dtype=np.uint32).astype(">u4")
-    blocks[:, 12:] = counters.view(np.uint8).reshape(-1, 4)
-    return _encrypt_blocks(blocks, round_keys).tobytes()
+    rk = _round_key_bytes(round_keys)
+    if len(nonce) != 12:
+        raise LengthMismatch(f"nonce must be 12 bytes, got {len(nonce)}")
+    kernel = _native.kernel()
+    if kernel is None:
+        from . import _aes_numpy
+
+        return _aes_numpy.ctr_keystream(bytes(nonce), nblocks, rk)
+    return kernel.ctr(bytes(nonce), nblocks, rk, _T_TABLES, _SBOX_BYTES)
+
+
+def kernel_matches_reference(kernel: _native.Kernel) -> bool:
+    """Whether ``kernel``'s counter mode gives the pinned keystreams."""
+    nonce = bytes.fromhex(vectors.CTR_NONCE)
+    return all(
+        kernel.ctr(nonce, 3, bytes.fromhex(rk), _T_TABLES, _SBOX_BYTES).hex() == expected
+        for rk, expected in vectors.CTR_KEYSTREAMS
+    )
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
@@ -243,7 +243,7 @@ def encrypt_message(
         raise LengthMismatch(f"nonce must be 12 bytes, got {len(nonce)}")
     km = derive_key_material(master_key, matrix)
     if compress:
-        data = lz78.encode_tokens(lz78.compress(bytes(plaintext)))
+        data = lz78.pack(plaintext)
     else:
         data = bytes(plaintext)
     ks = generate_keystream(keystream_seed(km.key1), km.final_key, len(data))
@@ -276,7 +276,7 @@ def decrypt_message(
     ks = generate_keystream(keystream_seed(km.key1), km.final_key, len(whitened))
     data = _xor(whitened, ks)
     if env.flags & FLAG_LZ78:
-        plaintext = lz78.decompress(lz78.decode_tokens(data), max_output=env.plain_len)
+        plaintext = lz78.unpack(data, max_output=env.plain_len)
     else:
         plaintext = data
     if len(plaintext) != env.plain_len:

@@ -7,7 +7,7 @@ import os
 import sys
 
 from . import bench, lz78, selftest
-from .chaos import chaos_path
+from ._native import kernel_path
 from .cipher import Envelope, decrypt_message, encrypt_message
 from .errors import ClaesError
 from .keymatrix import default_matrix, load_matrix
@@ -224,14 +224,14 @@ def _cmd_compress(args) -> int:
     with open(args.input, "rb") as fh:
         data = fh.read()
     with open(args.output, "wb") as fh:
-        fh.write(lz78.encode_tokens(lz78.compress(data)))
+        fh.write(lz78.pack(data))
     return EXIT_OK
 
 
 def _cmd_decompress(args) -> int:
     with open(args.input, "rb") as fh:
         blob = fh.read()
-    data = lz78.decompress(lz78.decode_tokens(blob), max_output=args.max_output)
+    data = lz78.unpack(blob, max_output=args.max_output)
     with open(args.output, "wb") as fh:
         fh.write(data)
     return EXIT_OK
@@ -247,7 +247,7 @@ def _cmd_bench(args) -> int:
         profiles = tuple(
             bench.WorkloadProfile(p.sensor, args.sizes, args.reps) for p in profiles
         )
-    print(f"chaos path: {chaos_path()}")
+    print(f"kernel: {kernel_path()}")
     records = bench.run_bench(profiles, bench.METHODS, master, unit=args.unit, matrix=_matrix(args))
     print(bench.emit_table(records))
     print()

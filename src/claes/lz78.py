@@ -4,13 +4,20 @@ Greedy longest-match parsing over a trie that starts from the empty root
 and grows by one entry per emitted token.  If the input ends in the middle
 of a match, a terminal token without a symbol is emitted, which makes the
 codec total and exactly invertible on every byte string.
+
+`pack` and `unpack` run the parse and the wire format in one step, in the
+compiled kernel (``_kernel.c``, see `_native`) when it is in use.
+`compress`, `decompress`, `encode_tokens` and `decode_tokens` are the
+Python reference they must match, and run in their place otherwise.
 """
 
 from __future__ import annotations
 
+import io
 import sys
 from typing import NamedTuple
 
+from . import _native
 from .errors import BadIndex, MisplacedTerminal, OutputLimitExceeded, Truncated
 
 
@@ -39,28 +46,49 @@ def compress(data: bytes) -> list[Token]:
     return out
 
 
+_BYTES = tuple(bytes((b,)) for b in range(256))
+
+
 def decompress(tokens, max_output: int | None = None) -> bytes:
     """Exact inverse of :func:`compress`.
 
     Raises :class:`OutputLimitExceeded` as soon as the output passes
-    ``max_output`` bytes.  Every dictionary entry is a piece already written
-    to the output, so the limit bounds the dictionary's memory as well.
+    ``max_output`` bytes.  Every dictionary entry is kept as the (start,
+    length) of a piece already written to the output (Ziv & Lempel, IEEE
+    Trans. IT 1978), so memory grows with the output, and the limit bounds
+    it.
     """
     limit = sys.maxsize if max_output is None else max_output
-    entries: list[bytes] = [b""]
-    out = bytearray()
+    # entry i is the piece out[starts[i]:starts[i] + lengths[i]]
+    starts = [0]
+    lengths = [0]
+    # written in place and handed back without a copy, so the peak memory
+    # stays near the output's size
+    out = io.BytesIO()
+    read, write, seek = out.read, out.write, out.seek
+    size = 0
     last = len(tokens) - 1
     for t, (index, symbol) in enumerate(tokens):
         if symbol is None and t != last:
             raise MisplacedTerminal(f"symbol-less token at position {t} is not last")
-        if not 0 <= index < len(entries):
-            raise BadIndex(f"token {t} references entry {index}, dictionary has {len(entries) - 1}")
-        piece = entries[index] if symbol is None else entries[index] + bytes([symbol])
-        out.extend(piece)
-        if len(out) > limit:
+        if not 0 <= index < len(starts):
+            raise BadIndex(f"token {t} references entry {index}, dictionary has {len(starts) - 1}")
+        length = lengths[index]
+        piece = b""
+        if length:
+            seek(starts[index])
+            piece = read(length)
+            seek(size)
+        if symbol is not None:
+            piece += _BYTES[symbol]
+            length += 1
+        write(piece)
+        if size + length > limit:
             raise OutputLimitExceeded(f"token {t} takes the output past {limit} bytes")
-        entries.append(piece)
-    return bytes(out)
+        starts.append(size)
+        lengths.append(length)
+        size += length
+    return out.getvalue()
 
 
 def encode_tokens(tokens) -> bytes:
@@ -116,3 +144,50 @@ def decode_tokens(data: bytes) -> list[Token]:
         else:
             raise Truncated(f"invalid token flag {flag:#04x}")
     return out
+
+
+def pack(data: bytes) -> bytes:
+    """``encode_tokens(compress(data))`` in one step."""
+    data = bytes(data)
+    kernel = _native.kernel()
+    if kernel is not None:
+        packed = kernel.pack(data)
+        if packed is not None:
+            return packed
+    return encode_tokens(compress(data))
+
+
+def unpack(blob: bytes, max_output: int | None = None) -> bytes:
+    """``decompress(decode_tokens(blob), max_output)`` in one step, raising
+    the same errors."""
+    blob = bytes(blob)
+    kernel = _native.kernel()
+    if kernel is not None and (max_output is None or max_output >= 0):
+        data = kernel.unpack(blob, max_output)
+        if data is not None:
+            return data
+    # the kernel found an error (or had no memory): the reference raises it
+    # with its own message, and stops at max_output like the kernel
+    return decompress(decode_tokens(blob), max_output)
+
+
+# Inputs the loaded kernel must pack and unpack as the reference does: text
+# whose dictionary passes 128 entries, so indices take two varint bytes, and
+# a run that ends in a terminal token.
+_KERNEL_CHECK_INPUTS = (b"".join(b"%d," % (i * i % 1009) for i in range(256)), b"AAAA")
+
+
+def kernel_matches_reference(kernel: _native.Kernel) -> bool:
+    """Whether ``kernel``'s codec gives the Python codec's bytes, and
+    reports an error where the Python codec raises one."""
+    for data in _KERNEL_CHECK_INPUTS:
+        blob = encode_tokens(compress(data))
+        if (
+            kernel.pack(data) != blob
+            or kernel.unpack(blob, None) != data
+            or kernel.unpack(blob, len(data)) != data
+            or kernel.unpack(blob, len(data) - 1) is not None
+            or kernel.unpack(blob[:-1], None) is not None
+        ):
+            return False
+    return True

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import random
 
-from . import lz78, vectors
-from .chaos import chaos_path, compiled_kernel, kernel_matches_reference, seed_from_key1
+from . import _native, lz78, vectors
+from .chaos import seed_from_key1
 from .cipher import (
     Envelope,
     block_encrypt,
@@ -61,6 +61,8 @@ def _check_lz78_roundtrip():
         tokens = lz78.compress(data)
         assert lz78.decompress(tokens) == data
         assert lz78.decode_tokens(lz78.encode_tokens(tokens)) == tokens
+        assert lz78.pack(data) == lz78.encode_tokens(tokens)
+        assert lz78.unpack(lz78.pack(data)) == data
     assert len(lz78.compress(b"A" * 10000)) == 141
 
 
@@ -79,11 +81,11 @@ def _check_chaos_determinism():
     assert a == b, "chaotic stream is not reproducible"
 
 
-def _check_chaos_kernel():
-    kernel = compiled_kernel()
+def _check_kernel():
+    kernel = _native.kernel()
     if kernel is not None:
-        assert kernel_matches_reference(kernel, 4096), "compiled kernel differs from the Python loop"
-    return chaos_path()
+        assert _native.kernel_matches_reference(kernel, 4096), "compiled kernel differs from the reference"
+    return _native.kernel_path()
 
 
 def _check_block_avalanche():
@@ -111,7 +113,7 @@ CHECKS = (
     ("lz78-roundtrip", _check_lz78_roundtrip),
     ("lfsr-period", _check_lfsr_period),
     ("chaos-determinism", _check_chaos_determinism),
-    ("chaos-kernel", _check_chaos_kernel),
+    ("kernel", _check_kernel),
     ("block-avalanche", _check_block_avalanche),
 )
 

@@ -217,15 +217,15 @@ def test_criterion_6_timing_trend():
     elapsed = time.perf_counter() - started
     ok = not problems and renders_reference and shape_ok and elapsed < 300.0
     detail = ", ".join(f"{m} r^2={f.r_squared:.5f}" for m, f in fits.items())
+    # the first problems go into the report, so a failing run says why
+    shown = "; ".join(problems[:3]) + ("; ..." if len(problems) > 3 else "")
     _report(
         6,
         "timing-trend",
         ok,
-        f"({detail}; {len(problems)} trend problems; reference values rendered="
-        f"{renders_reference}; {elapsed:.0f}s < 300s)",
+        f"({detail}; {len(problems)} trend problems: [{shown}]; "
+        f"reference values rendered={renders_reference}; {elapsed:.0f}s < 300s)",
     )
-    if problems:
-        print("\n".join(problems))
 
 
 def test_criterion_7_golden_vectors():

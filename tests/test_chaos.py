@@ -142,30 +142,17 @@ def test_streams_reproducible():
 # --- compiled kernel against the Python reference ----------------------------
 
 
-@pytest.fixture(scope="module")
-def kernel(tmp_path_factory):
-    """A kernel built into a fresh cache directory, so the test does not
-    depend on what the user's cache holds."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
-        built = _native.load()
-    if built is None:
-        pytest.skip("no C compiler could build the chaos kernel here")
-    assert chaos.kernel_matches_reference(built)
-    return built
-
-
 def _stream(kernel, prefix, tag, lengths):
     """Seed, then chained takes, on one path: the kernel, or Python when None."""
-    saved = chaos._kernel
-    chaos._kernel = kernel
+    saved = _native._kernel
+    _native._kernel = kernel
     try:
         state = seed_from_key1(prefix, tag)
         seeded = state.m_raw
         chunks = [state.take(n) for n in lengths]
         return seeded, chunks, state.m_raw, state.iterations
     finally:
-        chaos._kernel = saved
+        _native._kernel = saved
 
 
 @given(
@@ -203,7 +190,7 @@ def test_burn_in_restarts_once_on_a_fixed_point(kernel):
 
 def test_a_kernel_that_differs_is_not_used(tmp_path, monkeypatch):
     # a library that folds the wrong bits into each byte must not change any byte
-    wrong = tmp_path / "_chaos.c"
+    wrong = tmp_path / "_kernel.c"
     wrong.write_text(_native._SOURCE.read_text().replace("(m >> 32)", "(m >> 31)"))
     monkeypatch.setattr(_native, "_SOURCE", wrong)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
@@ -211,8 +198,8 @@ def test_a_kernel_that_differs_is_not_used(tmp_path, monkeypatch):
     if built is None:
         pytest.skip("no C compiler could build the chaos kernel here")
     assert not chaos.kernel_matches_reference(built)
-    monkeypatch.setattr(chaos, "_kernel", chaos._UNLOADED)
-    assert chaos.compiled_kernel() is None
+    monkeypatch.setattr(_native, "_kernel", _native._UNLOADED)
+    assert _native.kernel() is None
     assert seed_from_key1(bytes(9), 0x00).take(1)[0] == FIRST_BYTE_ZEROS_00
 
 
@@ -232,9 +219,9 @@ def test_loader_falls_back_without_a_compiler(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     assert _native.load() is None
     assert list((tmp_path / "cache" / "claes").iterdir()) == []  # no temporary file left
-    monkeypatch.setattr(chaos, "_kernel", chaos._UNLOADED)
-    assert chaos.compiled_kernel() is None
-    assert chaos.chaos_path() == "python loop"
+    monkeypatch.setattr(_native, "_kernel", _native._UNLOADED)
+    assert _native.kernel() is None
+    assert _native.kernel_path() == "python/numpy"
     _golden_vectors_hold()
 
 
@@ -245,8 +232,8 @@ def test_loader_falls_back_when_the_cache_cannot_be_written(tmp_path, monkeypatc
     blocker.write_bytes(b"")
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
     assert _native.load() is None
-    monkeypatch.setattr(chaos, "_kernel", chaos._UNLOADED)
-    assert chaos.compiled_kernel() is None
+    monkeypatch.setattr(_native, "_kernel", _native._UNLOADED)
+    assert _native.kernel() is None
     _golden_vectors_hold()
 
 

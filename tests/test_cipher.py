@@ -1,9 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from claes import _aes_numpy, _native, cipher
 from claes.cipher import (
     FLAG_LZ78,
     MAGIC,
@@ -123,6 +124,39 @@ def test_ctr_keystream_refuses_counter_wrap():
     # checked before any block is allocated, so this call allocates nothing
     with pytest.raises(MessageTooLong):
         _ctr_keystream(bytes(12), 2**32 + 1, ZERO_ROUND_KEYS)
+
+
+def _ctr_oracle(nonce, counters, round_keys):
+    return b"".join(oracles.aes_encrypt(nonce + i.to_bytes(4, "big"), round_keys) for i in counters)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+def test_ctr_known_answer_vectors(request, monkeypatch, compiled):
+    # the pinned round keys are the classic expansion of AES_KEY and the
+    # chaos round keys of the counting16 master
+    (rijndael_rk, _), (chaos_rk, _) = vectors.CTR_KEYSTREAMS
+    assert rijndael_rk == b"".join(rijndael_round_keys(bytes.fromhex(vectors.AES_KEY))).hex()
+    counting16 = bytes.fromhex(vectors.GOLDEN_KEYS["counting16"]["master"])
+    assert chaos_rk == b"".join(derive_key_material(counting16).round_keys).hex()
+    monkeypatch.setattr(_native, "_kernel", request.getfixturevalue("kernel") if compiled else None)
+    nonce = bytes.fromhex(vectors.CTR_NONCE)
+    for flat, expected in vectors.CTR_KEYSTREAMS:
+        rk = tuple(bytes.fromhex(flat[i:i + 32]) for i in range(0, 352, 32))
+        assert _ctr_keystream(nonce, 3, rk).hex() == expected
+        assert _ctr_oracle(nonce, range(3), rk).hex() == expected
+
+
+@pytest.mark.parametrize("nblocks", [0, 1, 2, 17, 256, 1537])
+@given(nonce=st.binary(min_size=12, max_size=12), flat=st.binary(min_size=176, max_size=176))
+@settings(max_examples=12, deadline=None)
+def test_compiled_ctr_matches_numpy_core_and_oracle(kernel, nblocks, nonce, flat):
+    compiled = kernel.ctr(nonce, nblocks, flat, cipher._T_TABLES, cipher._SBOX_BYTES)
+    assert compiled == _aes_numpy.ctr_keystream(nonce, nblocks, flat)
+    # the oracle takes about 1 ms a block: every block of short streams, and
+    # the first and last blocks of long ones
+    counters = sorted({*range(min(nblocks, 17)), nblocks - 1} - {-1})
+    rk = tuple(flat[i:i + 16] for i in range(0, 176, 16))
+    assert b"".join(compiled[16 * i:16 * i + 16] for i in counters) == _ctr_oracle(nonce, counters, rk)
 
 
 # --- envelope -------------------------------------------------------------------
@@ -328,6 +362,24 @@ def test_hostile_envelope_body_raises_only_claes_errors(flags, body):
         decrypt_message(env, b"fuzzing key")
     except ClaesError:
         pass
+
+
+@given(st.binary(max_size=512))
+@settings(max_examples=200, deadline=None)
+@example(b"")
+def test_envelope_declaring_the_largest_length_raises_only_claes_errors(body):
+    # plain_len comes from outside: no output buffer is sized from it
+    env = Envelope(flags=FLAG_LZ78, nonce=bytes(12), plain_len=2**64 - 1, payload=body)
+    with pytest.raises(ClaesError):
+        decrypt_message(env, b"fuzzing key")
+
+
+def test_envelope_declaring_the_largest_length_of_a_valid_stream():
+    master = b"bounded decode"
+    env = encrypt_message(master, bytes(12), b"abc" * 1000)
+    hostile = Envelope(env.flags, env.nonce, 2**64 - 1, env.payload)
+    with pytest.raises(LengthMismatch, match="decoded 3000 bytes"):
+        decrypt_message(hostile, master)
 
 
 def test_chained_tokens_fail_fast_against_declared_length():

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from claes import chaos, cli, lz78
+from claes import _native, cli, lz78
 from claes.cipher import Envelope, encrypt_message
 from claes.cli import EXIT_DATA, EXIT_OK, EXIT_SELFTEST, EXIT_USAGE, main
 from claes.keyschedule import derive_key_material
@@ -184,7 +184,7 @@ def test_bench_tiny_run_with_csv(tmp_path, capsys):
     )
     assert code == EXIT_OK
     out = capsys.readouterr().out
-    assert out.startswith("chaos path: ")
+    assert out.startswith("kernel: ")
     assert "| Method | Sensor |" in out
     assert "slope" in out
     lines = csv_path.read_text().strip().splitlines()
@@ -222,13 +222,13 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "ok   aes-standard-vector" in out
-    assert "ok   chaos-kernel: " in out
+    assert "ok   kernel: " in out
     assert "FAIL" not in out
 
 
 def test_selftest_passes_on_the_python_loop(monkeypatch, capsys):
-    monkeypatch.setattr(chaos, "_kernel", None)
+    monkeypatch.setattr(_native, "_kernel", None)
     assert main(["selftest"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert "ok   chaos-kernel: python loop" in out
+    assert "ok   kernel: python/numpy" in out
     assert "FAIL" not in out

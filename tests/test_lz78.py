@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from claes import _native, lz78
 from claes.errors import BadIndex, ClaesError, MisplacedTerminal, OutputLimitExceeded, Truncated
 from claes.lz78 import Token, compress, decode_tokens, decompress, encode_tokens
 
@@ -155,3 +157,76 @@ def test_hostile_token_stream_raises_only_claes_errors(data, max_output):
     except ClaesError:
         return
     assert len(out) <= max_output
+
+
+def test_decompress_memory_stays_near_the_output_size():
+    # token t extends entry t by one byte: 4000 tokens decode to 8,002,000
+    # bytes, and whole-bytes dictionary entries would hold as much again
+    tokens = [Token(t, 65) for t in range(4000)]
+    size = 4000 * 4001 // 2
+    tracemalloc.start()
+    try:
+        out = decompress(tokens, max_output=size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) == size
+    assert peak < 1.25 * size
+
+
+# --- pack and unpack against the reference ------------------------------------
+
+
+def _reference_unpack(blob, max_output):
+    """The reference's output, or the type and message of what it raises."""
+    try:
+        return decompress(decode_tokens(blob), max_output)
+    except ClaesError as exc:
+        return type(exc), str(exc)
+
+
+_LOW_ENTROPY = st.lists(st.sampled_from(b"ab\n"), max_size=4096).map(bytes)
+
+
+@given(st.one_of(st.binary(max_size=4096), _LOW_ENTROPY))
+@settings(max_examples=200, deadline=None)
+def test_pack_matches_the_reference(kernel, data):
+    blob = encode_tokens(compress(data))
+    assert kernel.pack(data) == blob
+    assert kernel.unpack(blob, None) == data
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "_kernel", kernel)
+        assert lz78.pack(data) == blob
+        assert lz78.unpack(blob) == data
+
+
+def test_pack_matches_the_reference_on_three_byte_varints(kernel):
+    data = random.Random(7).randbytes(40_000)
+    tokens = compress(data)
+    assert max(t.index for t in tokens) >= 1 << 14
+    blob = encode_tokens(tokens)
+    assert kernel.pack(data) == blob
+    assert kernel.unpack(blob, len(data)) == data
+    assert kernel.unpack(blob, len(data) - 1) is None
+
+
+@given(
+    st.one_of(st.binary(max_size=512), st.lists(_TOKEN_PIECES, max_size=64).map(b"".join)),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=1024)),
+)
+@settings(max_examples=400, deadline=None)
+@example(bytes.fromhex("8080800000"), None)  # a long varint of zeros is index 0
+@example(bytes.fromhex("ffffffffffffffffffff0101"), None)  # an index past 2**64
+@example(encode_tokens([Token(t, 65) for t in range(4000)]), 64)
+def test_unpack_matches_the_reference_or_raises_as_it_does(kernel, blob, max_output):
+    expected = _reference_unpack(blob, max_output)
+    compiled = kernel.unpack(blob, max_output)
+    # the kernel reports an error exactly where the reference raises
+    assert compiled == (None if isinstance(expected, tuple) else expected)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "_kernel", kernel)
+        try:
+            got = lz78.unpack(blob, max_output)
+        except ClaesError as exc:
+            got = type(exc), str(exc)
+    assert got == expected

@@ -1,0 +1,100 @@
+"""The compiled kernel's loader: builds that compute something else are
+refused, numpy stays off the import path, and a process with no compiler
+gives the same bytes."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import claes
+from claes import _native, chaos, cipher, lz78, vectors
+from claes.cipher import Envelope, decrypt_message, encrypt_message
+
+SRC = str(Path(claes.__file__).resolve().parent.parent)
+
+
+def _envelopes_hold():
+    master = bytes.fromhex(vectors.ENVELOPE_MASTER)
+    nonce = bytes.fromhex(vectors.ENVELOPE_NONCE)
+    plaintext = bytes.fromhex(vectors.ENVELOPE_PLAINTEXT)
+    for compress, expected in ((False, vectors.ENVELOPE_PLAIN), (True, vectors.ENVELOPE_COMPRESSED)):
+        blob = encrypt_message(master, nonce, plaintext, compress).encode()
+        assert blob.hex() == expected
+        assert decrypt_message(Envelope.decode(blob), master) == plaintext
+
+
+# (text in _kernel.c, its replacement, the family check that must fail)
+_WRONG_SOURCES = {
+    "t-table-index": (
+        "mixed_column(tables, s2, s3, s0, s1)",
+        "mixed_column(tables, s2, s3, s1, s0)",
+        cipher,
+    ),
+    "pack-varint-shift": ("v >>= 7;", "v >>= 6;", lz78),
+    "unpack-varint-shift": ("shift += 7;", "shift += 6;", lz78),
+    "unpack-limit": ("if (piece > limit - total)", "if (piece > limit - total + 1)", lz78),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_WRONG_SOURCES))
+def test_a_kernel_built_from_a_wrong_source_is_refused(tmp_path, monkeypatch, mutation):
+    old, new, family = _WRONG_SOURCES[mutation]
+    source = _native._SOURCE.read_text()
+    assert source.count(old) == 1
+    wrong = tmp_path / "_kernel.c"
+    wrong.write_text(source.replace(old, new))
+    monkeypatch.setattr(_native, "_SOURCE", wrong)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    built = _native.load()
+    if built is None:
+        pytest.skip("no C compiler could build the kernel here")
+    assert chaos.kernel_matches_reference(built)
+    assert not family.kernel_matches_reference(built)
+    monkeypatch.setattr(_native, "_kernel", _native._UNLOADED)
+    assert _native.kernel() is None
+    _envelopes_hold()
+
+
+def _run(script, **env):
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": SRC, **env},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_numpy_is_not_imported_when_the_kernel_runs(kernel, kernel_cache):
+    script = (
+        "import sys, claes\n"
+        "from claes import _native\n"
+        "env = claes.encrypt_message(b'key', bytes(12), b'reading 42\\n' * 100)\n"
+        "assert claes.decrypt_message(env, b'key') == b'reading 42\\n' * 100\n"
+        "print(_native.kernel_path().split()[0], 'numpy' in sys.modules)\n"
+    )
+    assert _run(script, XDG_CACHE_HOME=str(kernel_cache)) == ["compiled", "False"]
+
+
+def test_pinned_bytes_hold_in_a_process_without_a_compiler(tmp_path):
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    script = (
+        "import test_native\n"
+        "from claes import _native\n"
+        "assert _native.kernel() is None\n"
+        "test_native._envelopes_hold()\n"
+        "print(_native.kernel_path())\n"
+    )
+    out = _run(
+        script,
+        PATH=str(empty),
+        XDG_CACHE_HOME=str(tmp_path / "cache"),
+        PYTHONPATH=os.pathsep.join((SRC, str(Path(__file__).parent))),
+    )
+    assert out == ["python/numpy"]
