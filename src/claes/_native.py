@@ -13,7 +13,7 @@ no library or a whole one.  Later imports load the cached file.
 Python reference (`kernel_matches_reference`).  When there is no compiler,
 the build fails, the cache directory cannot be written, the library does
 not load or any function gives other bytes, it returns None and callers run
-the Python and numpy code, which give the same bytes more slowly.
+the Python code, which gives the same bytes more slowly.
 """
 
 from __future__ import annotations
@@ -169,13 +169,13 @@ def kernel_matches_reference(kernel: Kernel, chaos_bytes: int = 64) -> bool:
 
 _UNLOADED = object()
 # The kernel in use, loaded and checked on first use: a `Kernel`, or None to
-# run the Python and numpy code.  Tests set it to None to force that code.
+# run the Python code.  Tests set it to None to force that code.
 _kernel = _UNLOADED
 
 
 def kernel() -> Kernel | None:
     """The checked kernel, loading it on first call; None when the Python
-    and numpy code runs."""
+    code runs."""
     global _kernel
     if _kernel is _UNLOADED:
         built = load()
@@ -185,4 +185,4 @@ def kernel() -> Kernel | None:
 
 def kernel_path() -> str:
     """Which code runs the per-byte loops, for reports beside timings."""
-    return "python/numpy" if kernel() is None else "compiled (_kernel.c)"
+    return "python" if kernel() is None else "compiled (_kernel.c)"

@@ -63,9 +63,6 @@ class ChaoticState:
 
     __slots__ = ("m_raw", "domain_tag", "iterations")
 
-    r_num = R_NUM
-    r_den = R_DEN
-
     def __init__(self, m_raw: int, domain_tag: int = 0, iterations: int = 0):
         if not 0 <= m_raw < _ONE:
             raise ValueError("m_raw must be a Q0.63 fraction in [0, 2**63)")

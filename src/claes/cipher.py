@@ -2,17 +2,18 @@
 mode around it, and the full message pipeline with a binary envelope.
 
 The block core is the standard round structure (SubBytes, ShiftRows,
-MixColumns, AddRoundKey) with the published S-box, run in its 32-bit
-T-table form; what varies is where the round keys come from.  Round keys
-are a tuple of eleven 16-byte blocks.  Normal operation feeds the core
-chaos-derived round keys; `rijndael_round_keys` provides the classic
-expansion so the core can be checked against standard vectors and driven in
-a compatibility mode.  Counter mode runs the forward cipher for encryption
-and decryption alike, so there is no inverse cipher.
+MixColumns, AddRoundKey) with the published S-box; what varies is where the
+round keys come from.  Round keys are a tuple of eleven 16-byte blocks.
+Normal operation feeds the core chaos-derived round keys;
+`rijndael_round_keys` provides the classic expansion so the core can be
+checked against standard vectors and driven in a compatibility mode.
+Counter mode runs the forward cipher for encryption and decryption alike,
+so there is no inverse cipher.
 
-Counter mode runs in the compiled kernel (``_kernel.c``, see `_native`)
-when it is in use, else in the numpy core (`_aes_numpy`), which also runs
-`block_encrypt`.  numpy is imported only when that core first runs.
+The Python core runs each step over all blocks at once, with the standard
+library only; it runs `block_encrypt`, and counter mode when the compiled
+kernel (``_kernel.c``, see `_native`) is not in use.  The kernel runs the
+same cipher in its 32-bit T-table form and gives the same bytes.
 
 Messages are processed as: optional LZ78 compression, XOR with the
 message-length chaotic keystream, then counter-mode block encryption.
@@ -91,20 +92,53 @@ def rijndael_round_keys(key: bytes) -> tuple[bytes, ...]:
 
 
 # --- block core and counter mode ---------------------------------------------
-#
-# Rounds 1-9 use the 32-bit T-table form (Daemen & Rijmen, "AES Proposal:
-# Rijndael", section 5.2): SubBytes and MixColumns fold into four tables, so a
-# state column is four table lookups XORed with a round-key word.  Column c
-# is state bytes 4c..4c+3 read as one little-endian word (row r in bits 8r).
-#
-# The tables are defined once, here, as bytes: table r, entry a, is the
-# MixColumns column (rows 0-3, low byte first) of S(a) in row r, as a
-# little-endian word.  The compiled kernel and the numpy core read the same
-# bytes.  Counter-mode blocks are independent, so both produce all blocks of
-# a message in one call; tests compare them with the independent oracle.
 
 _SBOX_BYTES = bytes(SBOX)
-# the column of S(a) in row 0 is (2, 1, 1, 3) * S(a); row r rotates it down by r
+
+
+def _encrypt_blocks(blocks: bytes, round_keys: bytes) -> bytes:
+    """AES-128 of every 16-byte block of ``blocks`` under the 176
+    ``round_keys`` bytes, each step of FIPS-197 section 5.1 as one operation
+    over all blocks: SubBytes is one `bytes.translate`, ShiftRows sixteen
+    strided slices, and MixColumns and AddRoundKey act on one integer whose
+    little-endian 32-bit words are the state columns (column c is bytes
+    4c..4c+3, row r in bits 8r)."""
+    n = len(blocks)
+    # k * per_column repeats the 32-bit k in every column, k * per_block the
+    # 128-bit k in every block
+    per_column = int.from_bytes(b"\x01\x00\x00\x00" * (n // 4), "little")
+    per_block = int.from_bytes((b"\x01" + bytes(15)) * (n // 16), "little")
+    ones, low7, rows012, row0 = (k * per_column for k in (0x01010101, 0x7F7F7F7F, 0x00FFFFFF, 0xFF))
+
+    def up(x: int) -> int:
+        # row r + 1 of every column moves into row r, row 0 into row 3
+        return (x >> 8) & rows012 | (x & row0) << 24
+
+    keys = [int.from_bytes(round_keys[i:i + 16], "little") * per_block for i in range(0, 176, 16)]
+    state = int.from_bytes(blocks, "little") ^ keys[0]
+    shifted = bytearray(n)
+    for rnd in range(1, 11):
+        subbed = state.to_bytes(n, "little").translate(_SBOX_BYTES)
+        for i, j in enumerate(SHIFT):
+            shifted[i::16] = subbed[j::16]
+        a0 = int.from_bytes(shifted, "little")
+        if rnd < 10:
+            # row r becomes 2a(r) ^ 3a(r+1) ^ a(r+2) ^ a(r+3)
+            #             = xtime(a(r) ^ a(r+1)) ^ a(r+1) ^ a(r+2) ^ a(r+3)
+            a1 = up(a0)
+            a2 = up(a1)
+            v = a0 ^ a1
+            a0 = ((v & low7) << 1) ^ ((v >> 7) & ones) * 0x1B ^ a1 ^ a2 ^ up(a2)
+        state = a0 ^ keys[rnd]
+    return state.to_bytes(n, "little")
+
+
+# The compiled kernel's 32-bit T-tables (Daemen & Rijmen, "AES Proposal:
+# Rijndael", section 5.2), built here so the constants are defined once; only
+# the C code reads them.  SubBytes and MixColumns fold into four tables, so a
+# state column is four table lookups XORed with a round-key word.  Table r,
+# entry a, is the MixColumns column (rows 0-3, low byte first) of S(a) in
+# row r, as a little-endian word: (2, 1, 1, 3) * S(a) rotated down by r.
 _COLUMNS = tuple((MUL2[s], s, s, MUL3[s]) for s in SBOX)
 _T_TABLES = bytes(b for r in range(4) for col in _COLUMNS for b in col[4 - r:] + col[:4 - r])
 
@@ -119,14 +153,25 @@ def block_encrypt(block: bytes, round_keys: tuple[bytes, ...]) -> bytes:
     """One AES-128 block with the supplied round keys used verbatim."""
     if len(block) != 16:
         raise ValueError("block must be 16 bytes")
-    rk = _round_key_bytes(round_keys)
-    from . import _aes_numpy
-
-    return _aes_numpy.encrypt_block(bytes(block), rk)
+    return _encrypt_blocks(bytes(block), _round_key_bytes(round_keys))
 
 
 # counters are 32-bit, so one nonce covers at most this many blocks
 MAX_CTR_BLOCKS = 1 << 32
+# the Python core encrypts this many counter blocks per call, which bounds
+# its working integers at 16 KiB each
+_CTR_CHUNK_BLOCKS = 1024
+
+
+def _python_ctr(nonce: bytes, nblocks: int, round_keys: bytes) -> bytes:
+    """AES-128(``nonce`` || counter) for counters 0 .. ``nblocks`` - 1 under
+    the 176 ``round_keys`` bytes, in chunks of `_CTR_CHUNK_BLOCKS`."""
+    chunks = []
+    for start in range(0, nblocks, _CTR_CHUNK_BLOCKS):
+        counters = range(start, min(start + _CTR_CHUNK_BLOCKS, nblocks))
+        counter_blocks = b"".join(nonce + i.to_bytes(4, "big") for i in counters)
+        chunks.append(_encrypt_blocks(counter_blocks, round_keys))
+    return b"".join(chunks)
 
 
 def _ctr_keystream(nonce: bytes, nblocks: int, round_keys: tuple[bytes, ...]) -> bytes:
@@ -139,9 +184,7 @@ def _ctr_keystream(nonce: bytes, nblocks: int, round_keys: tuple[bytes, ...]) ->
         raise LengthMismatch(f"nonce must be 12 bytes, got {len(nonce)}")
     kernel = _native.kernel()
     if kernel is None:
-        from . import _aes_numpy
-
-        return _aes_numpy.ctr_keystream(bytes(nonce), nblocks, rk)
+        return _python_ctr(bytes(nonce), nblocks, rk)
     return kernel.ctr(bytes(nonce), nblocks, rk, _T_TABLES, _SBOX_BYTES)
 
 
@@ -189,8 +232,8 @@ class Envelope:
             raise UnknownFlags(f"flags {self.flags:#04x} set bits other than LZ78 ({FLAG_LZ78:#04x})")
         if len(self.nonce) != 12:
             raise LengthMismatch("nonce must be exactly 12 bytes")
-        if self.plain_len < 0:
-            raise ValueError("plain_len must be non-negative")
+        if not 0 <= self.plain_len < 1 << 64:
+            raise ValueError("plain_len must fit in 8 unsigned bytes")
 
     def encode(self) -> bytes:
         return b"".join(

@@ -22,10 +22,6 @@ MISSING_CODE = (ZERO_DIGIT_INDEX,) * 3    # the "000" sentinel for absent bytes
 SymbolCode = tuple[int, int, int]
 
 
-def glyph(index: int) -> str:
-    return ALPHABET[index]
-
-
 def code_glyphs(code: SymbolCode) -> str:
     """Render a code as its three glyphs, e.g. (0, 26, 36) -> 'A0α'."""
     return "".join(ALPHABET[i] for i in code)
@@ -66,13 +62,14 @@ class Matrix3D:
         return f"Matrix3D(absent_bytes={absent})"
 
 
-def default_matrix() -> Matrix3D:
+def _default_cells() -> list[list[list[int]]]:
     """The canonical deterministic fill: cell(p, r, c) = (7p + 13r + 31c) mod 60."""
-    cells = [
-        [[(7 * p + 13 * r + 31 * c) % 60 for c in range(8)] for r in range(8)]
-        for p in range(4)
-    ]
-    return Matrix3D(cells)
+    return [[[(7 * p + 13 * r + 31 * c) % 60 for c in range(8)] for r in range(8)] for p in range(4)]
+
+
+def default_matrix() -> Matrix3D:
+    """The canonical fill with every byte present."""
+    return Matrix3D(_default_cells())
 
 
 def encode_byte(m: Matrix3D, b: int) -> SymbolCode:
@@ -101,10 +98,7 @@ def parse_matrix_config(text: str) -> Matrix3D:
     ignored.  Cells not mentioned keep the canonical default fill.  Indices
     outside the alphabet and duplicate coordinates are rejected.
     """
-    cells = [
-        [[(7 * p + 13 * r + 31 * c) % 60 for c in range(8)] for r in range(8)]
-        for p in range(4)
-    ]
+    cells = _default_cells()
     presence = [True] * 256
     seen_cells: set[tuple[int, int, int]] = set()
     seen_absent: set[int] = set()

@@ -29,7 +29,6 @@ DOMAIN_KEY2 = 0x01
 DOMAIN_KEYSTREAM = 0x5A
 DOMAIN_ROUND_KEYS = 0xA5
 
-LFSR_TAPS = (7, 5, 4, 3)  # x^8 + x^6 + x^5 + x^4 + 1, maximal length
 DEFAULT_LFSR_SEED = 0x5C
 
 # Chaotic iterations spent per Key2 byte: four byte extractions of four
@@ -46,7 +45,8 @@ def _rotr8(b: int, k: int) -> int:
 
 
 class Lfsr8:
-    """8-bit Fibonacci LFSR with taps at bits 7, 5, 4, 3 (period 255)."""
+    """8-bit Fibonacci LFSR with taps at bits 7, 5, 4, 3 (x^8 + x^6 + x^5 +
+    x^4 + 1, maximal length: period 255)."""
 
     __slots__ = ("state",)
 

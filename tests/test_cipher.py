@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from claes import _aes_numpy, _native, cipher
+from claes import _native, cipher
 from claes.cipher import (
     FLAG_LZ78,
     MAGIC,
@@ -108,9 +108,20 @@ def test_round_keys_validation():
             block_encrypt(bytes(16), bad)
 
 
+@given(
+    blocks=st.integers(1, 5).flatmap(lambda n: st.binary(min_size=16 * n, max_size=16 * n)),
+    flat=st.binary(min_size=176, max_size=176),
+)
+@settings(max_examples=200, deadline=None)
+def test_python_core_matches_oracle_per_block(blocks, flat):
+    rk = tuple(flat[i:i + 16] for i in range(0, 176, 16))
+    expected = b"".join(oracles.aes_encrypt(blocks[i:i + 16], rk) for i in range(0, len(blocks), 16))
+    assert cipher._encrypt_blocks(blocks, flat) == expected
+
+
 def test_batched_counter_mode_matches_per_block():
-    # the batched T-table core against the independent oracle, under random
-    # chaos-style and under Rijndael round keys
+    # counter mode on the active path against the independent oracle, under
+    # random chaos-style and under Rijndael round keys
     rng = random.Random(11)
     for nblocks in (1, 2, 17, 33, 256):
         for rk in (_random_round_keys(rng), rijndael_round_keys(rng.randbytes(16))):
@@ -130,7 +141,7 @@ def _ctr_oracle(nonce, counters, round_keys):
     return b"".join(oracles.aes_encrypt(nonce + i.to_bytes(4, "big"), round_keys) for i in counters)
 
 
-@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
 def test_ctr_known_answer_vectors(request, monkeypatch, compiled):
     # the pinned round keys are the classic expansion of AES_KEY and the
     # chaos round keys of the counting16 master
@@ -146,15 +157,17 @@ def test_ctr_known_answer_vectors(request, monkeypatch, compiled):
         assert _ctr_oracle(nonce, range(3), rk).hex() == expected
 
 
-@pytest.mark.parametrize("nblocks", [0, 1, 2, 17, 256, 1537])
+# 1023-1025 and 2049 straddle the Python core's 1024-block chunks
+@pytest.mark.parametrize("nblocks", [0, 1, 2, 17, 256, 1023, 1024, 1025, 1537, 2049])
 @given(nonce=st.binary(min_size=12, max_size=12), flat=st.binary(min_size=176, max_size=176))
 @settings(max_examples=12, deadline=None)
-def test_compiled_ctr_matches_numpy_core_and_oracle(kernel, nblocks, nonce, flat):
+def test_compiled_ctr_matches_python_core_and_oracle(kernel, nblocks, nonce, flat):
     compiled = kernel.ctr(nonce, nblocks, flat, cipher._T_TABLES, cipher._SBOX_BYTES)
-    assert compiled == _aes_numpy.ctr_keystream(nonce, nblocks, flat)
+    assert compiled == cipher._python_ctr(nonce, nblocks, flat)
     # the oracle takes about 1 ms a block: every block of short streams, and
-    # the first and last blocks of long ones
-    counters = sorted({*range(min(nblocks, 17)), nblocks - 1} - {-1})
+    # the first and last blocks of long ones and of each chunk
+    edges = {i for c in range(0, nblocks, cipher._CTR_CHUNK_BLOCKS) for i in (c - 1, c)}
+    counters = sorted(({*range(min(nblocks, 17)), nblocks - 1} | edges) - {-1})
     rk = tuple(flat[i:i + 16] for i in range(0, 176, 16))
     assert b"".join(compiled[16 * i:16 * i + 16] for i in counters) == _ctr_oracle(nonce, counters, rk)
 
@@ -211,6 +224,15 @@ def test_envelope_validates_fields():
         Envelope(flags=0, nonce=bytes(11), plain_len=0, payload=b"")
     with pytest.raises(ValueError):
         Envelope(flags=300, nonce=bytes(12), plain_len=0, payload=b"")
+
+
+@pytest.mark.parametrize("plain_len", [-1, 2**64, 2**70])
+def test_envelope_refuses_a_plain_len_outside_8_bytes(plain_len):
+    # refused when built, not later in encode()
+    with pytest.raises(ValueError):
+        Envelope(flags=0, nonce=bytes(12), plain_len=plain_len, payload=b"")
+    top = Envelope(flags=0, nonce=bytes(12), plain_len=2**64 - 1, payload=b"")
+    assert Envelope.decode(top.encode()) == top
 
 
 # --- message pipeline --------------------------------------------------------------

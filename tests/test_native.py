@@ -1,6 +1,6 @@
 """The compiled kernel's loader: builds that compute something else are
-refused, numpy stays off the import path, and a process with no compiler
-gives the same bytes."""
+refused, nothing needs numpy, and a process with no compiler gives the same
+bytes."""
 
 import os
 import subprocess
@@ -70,15 +70,27 @@ def _run(script, **env):
     return done.stdout.split()
 
 
-def test_numpy_is_not_imported_when_the_kernel_runs(kernel, kernel_cache):
-    script = (
-        "import sys, claes\n"
-        "from claes import _native\n"
-        "env = claes.encrypt_message(b'key', bytes(12), b'reading 42\\n' * 100)\n"
-        "assert claes.decrypt_message(env, b'key') == b'reading 42\\n' * 100\n"
-        "print(_native.kernel_path().split()[0], 'numpy' in sys.modules)\n"
-    )
-    assert _run(script, XDG_CACHE_HOME=str(kernel_cache)) == ["compiled", "False"]
+# numpy made unimportable: every path runs on the standard library alone
+_WITHOUT_NUMPY = (
+    "import sys\n"
+    "sys.modules['numpy'] = None\n"
+    "import test_native\n"
+    "from claes import _native, selftest\n"
+    "test_native._envelopes_hold()\n"
+    "results = selftest.run()\n"
+    "assert all(reason is None for _, reason in results), results\n"
+    "print(_native.kernel_path().split()[0])\n"
+)
+
+
+def test_everything_runs_without_numpy(kernel, kernel_cache, tmp_path):
+    tests = str(Path(__file__).parent)
+    env = {"PYTHONPATH": os.pathsep.join((SRC, tests))}
+    assert _run(_WITHOUT_NUMPY, XDG_CACHE_HOME=str(kernel_cache), **env) == ["compiled"]
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    out = _run(_WITHOUT_NUMPY, PATH=str(empty), XDG_CACHE_HOME=str(tmp_path / "cache"), **env)
+    assert out == ["python"]
 
 
 def test_pinned_bytes_hold_in_a_process_without_a_compiler(tmp_path):
@@ -97,4 +109,4 @@ def test_pinned_bytes_hold_in_a_process_without_a_compiler(tmp_path):
         XDG_CACHE_HOME=str(tmp_path / "cache"),
         PYTHONPATH=os.pathsep.join((SRC, str(Path(__file__).parent))),
     )
-    assert out == ["python/numpy"]
+    assert out == ["python"]
