@@ -10,8 +10,11 @@ further chaotic streams separated by domain tags.  Messages travel in a small bi
 
 from .chaos import ChaoticState, seed_from_key1
 from .cipher import (
+    DEFAULT_MAX_OUTPUT,
+    Cipher,
     Envelope,
     block_encrypt,
+    clear_key_cache,
     decrypt_message,
     encrypt_message,
     rijndael_round_keys,
@@ -65,7 +68,9 @@ __all__ = [
     "BadMagic",
     "BadVersion",
     "ChaoticState",
+    "Cipher",
     "ClaesError",
+    "DEFAULT_MAX_OUTPUT",
     "EmptyKey",
     "Envelope",
     "KeyMaterial",
@@ -83,6 +88,7 @@ __all__ = [
     "ZeroState",
     "baseline_keystream",
     "block_encrypt",
+    "clear_key_cache",
     "compress",
     "decode_tokens",
     "decompress",

@@ -90,23 +90,27 @@ static inline uint32_t last_column(const unsigned char *sbox, uint32_t a, uint32
          | (uint32_t)sbox[d >> 24] << 24;
 }
 
-/* AES-128(nonce || counter) for counters 0 .. nblocks-1 (32-bit big-endian),
- * into out[16 * nblocks], with the 176 round-key bytes used verbatim.
+/* out[i] = a[i] ^ b[i] ^ AES-128 counter-mode stream byte i, for i < n: the
+ * stream is AES-128(nonce || counter) for counters 0, 1, ... (32-bit
+ * big-endian), with the 176 round-key bytes used verbatim.  Each counter
+ * block is made and used inside the loop, so no stream buffer exists; on a
+ * seal `a` is the data and `b` the whitening keystream.
  *
  * `tables` holds cipher._T_TABLES: the four 256-entry T-tables of Daemen &
  * Rijmen, "AES Proposal: Rijndael", section 5.2, as little-endian words.  A
  * state column c is bytes 4c..4c+3 read as one little-endian word, row r in
  * bits 8r, so ShiftRows takes row r of new column c from column c + r. */
-void claes_aes_ctr(const unsigned char *nonce, uint64_t nblocks, const unsigned char *round_keys,
-                   const unsigned char *tables, const unsigned char *sbox, unsigned char *out)
+void claes_ctr_xor(const unsigned char *nonce, const unsigned char *round_keys,
+                   const unsigned char *tables, const unsigned char *sbox,
+                   const unsigned char *a, const unsigned char *b, size_t n, unsigned char *out)
 {
     uint32_t rk[44];
     for (int i = 0; i < 44; i++)
         rk[i] = le32(round_keys + 4 * i);
     uint32_t n0 = le32(nonce) ^ rk[0], n1 = le32(nonce + 4) ^ rk[1], n2 = le32(nonce + 8) ^ rk[2];
 
-    for (uint64_t block = 0; block < nblocks; block++) {
-        uint32_t ctr = (uint32_t)block;
+    for (size_t at = 0; at < n; at += 16) {
+        uint32_t ctr = (uint32_t)(at / 16);
         /* the counter's bytes, most significant first, as a little-endian word */
         uint32_t s0 = n0, s1 = n1, s2 = n2,
                  s3 = ((ctr >> 24) | (ctr >> 8 & 0xFF00) | (ctr << 8 & 0xFF0000) | ctr << 24) ^ rk[3];
@@ -118,11 +122,14 @@ void claes_aes_ctr(const unsigned char *nonce, uint64_t nblocks, const unsigned 
             uint32_t w3 = mixed_column(tables, s3, s0, s1, s2) ^ k[3];
             s0 = w0, s1 = w1, s2 = w2, s3 = w3;
         }
-        unsigned char *o = out + 16 * block;
-        put_le32(o, last_column(sbox, s0, s1, s2, s3) ^ rk[40]);
-        put_le32(o + 4, last_column(sbox, s1, s2, s3, s0) ^ rk[41]);
-        put_le32(o + 8, last_column(sbox, s2, s3, s0, s1) ^ rk[42]);
-        put_le32(o + 12, last_column(sbox, s3, s0, s1, s2) ^ rk[43]);
+        unsigned char block[16];
+        put_le32(block, last_column(sbox, s0, s1, s2, s3) ^ rk[40]);
+        put_le32(block + 4, last_column(sbox, s1, s2, s3, s0) ^ rk[41]);
+        put_le32(block + 8, last_column(sbox, s2, s3, s0, s1) ^ rk[42]);
+        put_le32(block + 12, last_column(sbox, s3, s0, s1, s2) ^ rk[43]);
+        size_t len = n - at < 16 ? n - at : 16;
+        for (size_t j = 0; j < len; j++)
+            out[at + j] = a[at + j] ^ b[at + j] ^ block[j];
     }
 }
 

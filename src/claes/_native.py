@@ -41,9 +41,9 @@ class Kernel:
         self.burn_in = lib.claes_chaos_burn_in
         self.burn_in.argtypes = (ctypes.c_uint64, ctypes.c_uint, ctypes.c_uint64)
         self.burn_in.restype = ctypes.c_uint64
-        self._ctr = lib.claes_aes_ctr
-        self._ctr.argtypes = (ctypes.c_char_p, ctypes.c_uint64) + (ctypes.c_char_p,) * 4
-        self._ctr.restype = None
+        self._ctr_xor = lib.claes_ctr_xor
+        self._ctr_xor.argtypes = (ctypes.c_char_p,) * 6 + (ctypes.c_size_t, ctypes.c_char_p)
+        self._ctr_xor.restype = None
         self._pack = lib.claes_lz78_pack
         self._pack.argtypes = (ctypes.c_char_p, ctypes.c_size_t, ctypes.c_char_p)
         self._pack.restype = ctypes.c_size_t
@@ -63,12 +63,14 @@ class Kernel:
         m = self._take(m, buf, n)
         return buf.raw, m
 
-    def ctr(self, nonce: bytes, nblocks: int, round_keys: bytes, tables: bytes, sbox: bytes) -> bytes:
-        """AES-128 counter-mode blocks 0 .. ``nblocks`` - 1 under the 176
-        ``round_keys`` bytes, from the 4096-byte T-tables and the S-box.
-        The caller checks every length."""
-        buf = ctypes.create_string_buffer(16 * nblocks)
-        self._ctr(nonce, nblocks, round_keys, tables, sbox, buf)
+    def ctr_xor(self, nonce: bytes, round_keys: bytes, tables: bytes, sbox: bytes,
+                a: bytes, b: bytes, n: int) -> bytes:
+        """The first ``n`` bytes of ``a`` XOR ``b`` XOR the AES-128
+        counter-mode stream of ``nonce`` under the 176 ``round_keys`` bytes,
+        from the 4096-byte T-tables and the S-box, in one pass.  The caller
+        checks every length."""
+        buf = ctypes.create_string_buffer(n)
+        self._ctr_xor(nonce, round_keys, tables, sbox, a, b, n, buf)
         return buf.raw
 
     def pack(self, data: bytes) -> bytes | None:

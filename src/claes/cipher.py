@@ -16,7 +16,12 @@ kernel (``_kernel.c``, see `_native`) is not in use.  The kernel runs the
 same cipher in its 32-bit T-table form and gives the same bytes.
 
 Messages are processed as: optional LZ78 compression, XOR with the
-message-length chaotic keystream, then counter-mode block encryption.
+message-length chaotic keystream, then counter-mode block encryption; the
+two XORs are one pass (`_ctr_xor`), which makes each counter block as it
+goes.  A `Cipher` holds one master key's derived material and the
+keystream drawn for it so far, which depends on the key alone;
+`encrypt_message` and `decrypt_message` keep the cipher of the last key
+they used (`clear_key_cache` drops it).
 There is no authentication tag; corruption is surfaced only through the
 declared-length check and LZ78 decode failures, so a same-length wrong
 plaintext cannot be detected.
@@ -24,20 +29,22 @@ plaintext cannot be detected.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 from . import _native, lz78, vectors
+from .chaos import ChaoticState
 from .errors import (
     BadMagic,
     BadVersion,
-    EmptyKey,
     LengthMismatch,
     MessageTooLong,
+    OutputLimitExceeded,
     Truncated,
     UnknownFlags,
 )
 from .keymatrix import Matrix3D
-from .keyschedule import derive_key_material, generate_keystream, keystream_seed
+from .keyschedule import DOMAIN_KEYSTREAM, derive_key_material, generate_keystream, keystream_seed
 
 SBOX = (
     0x63, 0x7C, 0x77, 0x7B, 0xF2, 0x6B, 0x6F, 0xC5, 0x30, 0x01, 0x67, 0x2B, 0xFE, 0xD7, 0xAB, 0x76,
@@ -163,44 +170,82 @@ MAX_CTR_BLOCKS = 1 << 32
 _CTR_CHUNK_BLOCKS = 1024
 
 
-def _python_ctr(nonce: bytes, nblocks: int, round_keys: bytes) -> bytes:
-    """AES-128(``nonce`` || counter) for counters 0 .. ``nblocks`` - 1 under
-    the 176 ``round_keys`` bytes, in chunks of `_CTR_CHUNK_BLOCKS`."""
+def _python_ctr(nonce: bytes, nblocks: int, round_keys: bytes, first: int = 0) -> bytes:
+    """AES-128(``nonce`` || counter) for counters ``first`` .. ``first`` +
+    ``nblocks`` - 1 under the 176 ``round_keys`` bytes, in chunks of
+    `_CTR_CHUNK_BLOCKS`."""
     chunks = []
-    for start in range(0, nblocks, _CTR_CHUNK_BLOCKS):
-        counters = range(start, min(start + _CTR_CHUNK_BLOCKS, nblocks))
-        counter_blocks = b"".join(nonce + i.to_bytes(4, "big") for i in counters)
-        chunks.append(_encrypt_blocks(counter_blocks, round_keys))
+    for start in range(first, first + nblocks, _CTR_CHUNK_BLOCKS):
+        count = min(_CTR_CHUNK_BLOCKS, first + nblocks - start)
+        # every block is the nonce, then its counter's four bytes laid in
+        # by four strided slices
+        blocks = bytearray((nonce + bytes(4)) * count)
+        counters = struct.pack(f">{count}I", *range(start, start + count))
+        for j in range(4):
+            blocks[12 + j::16] = counters[j::4]
+        chunks.append(_encrypt_blocks(blocks, round_keys))
     return b"".join(chunks)
 
 
-def _ctr_keystream(nonce: bytes, nblocks: int, round_keys: tuple[bytes, ...]) -> bytes:
-    if nblocks > MAX_CTR_BLOCKS:
-        raise MessageTooLong(
-            f"{nblocks} blocks exceed the {MAX_CTR_BLOCKS} a 32-bit counter can number"
+def _python_ctr_xor(nonce: bytes, round_keys: bytes, a: bytes, b: bytes, n: int) -> bytes:
+    """`_ctr_xor` in Python: one chunk of counter blocks at a time, each
+    XORed into its stretch of ``a`` and ``b`` as one integer."""
+    out = []
+    step = 16 * _CTR_CHUNK_BLOCKS
+    for start in range(0, n, step):
+        size = min(step, n - start)
+        stream = _python_ctr(nonce, -(-size // 16), round_keys, start // 16)[:size]
+        x = (
+            int.from_bytes(a[start:start + size], "little")
+            ^ int.from_bytes(b[start:start + size], "little")
+            ^ int.from_bytes(stream, "little")
         )
-    rk = _round_key_bytes(round_keys)
+        out.append(x.to_bytes(size, "little"))
+    return b"".join(out)
+
+
+def _check_nonce(nonce: bytes) -> None:
     if len(nonce) != 12:
         raise LengthMismatch(f"nonce must be 12 bytes, got {len(nonce)}")
+
+
+def _ctr_xor(nonce: bytes, round_keys: bytes, a: bytes, b: bytes, n: int) -> bytes:
+    """The first ``n`` bytes of ``a`` XOR ``b`` XOR the AES-128 counter-mode
+    stream of ``nonce`` (counters 0, 1, ...) under the 176 ``round_keys``
+    bytes, in one pass: no stream of ``n`` bytes is built."""
+    if n > 16 * MAX_CTR_BLOCKS:
+        raise MessageTooLong(
+            f"{-(-n // 16)} blocks exceed the {MAX_CTR_BLOCKS} a 32-bit counter can number"
+        )
+    _check_nonce(nonce)
+    if len(round_keys) != 176:
+        raise LengthMismatch(f"round keys must be 176 bytes, got {len(round_keys)}")
+    if len(a) < n or len(b) < n:
+        raise LengthMismatch(f"cannot XOR {n} bytes of {len(a)} and {len(b)}")
     kernel = _native.kernel()
     if kernel is None:
-        return _python_ctr(bytes(nonce), nblocks, rk)
-    return kernel.ctr(bytes(nonce), nblocks, rk, _T_TABLES, _SBOX_BYTES)
+        return _python_ctr_xor(bytes(nonce), round_keys, a, b, n)
+    return kernel.ctr_xor(bytes(nonce), round_keys, _T_TABLES, _SBOX_BYTES, a, b, n)
+
+
+# non-zero operands for the kernel check: bytes 1, 15 and 17 end inside a
+# block, and b runs past each of them
+_CHECK_A = bytes(range(1, 49))
+_CHECK_B = bytes(range(255, 159, -2))
 
 
 def kernel_matches_reference(kernel: _native.Kernel) -> bool:
-    """Whether ``kernel``'s counter mode gives the pinned keystreams."""
+    """Whether ``kernel``'s fused counter mode gives the pinned keystreams
+    XORed with two non-zero operands, cut at n = 1, 15, 17 and 48 bytes."""
     nonce = bytes.fromhex(vectors.CTR_NONCE)
-    return all(
-        kernel.ctr(nonce, 3, bytes.fromhex(rk), _T_TABLES, _SBOX_BYTES).hex() == expected
-        for rk, expected in vectors.CTR_KEYSTREAMS
-    )
-
-
-def _xor(a: bytes, b: bytes) -> bytes:
-    if len(a) != len(b):
-        raise LengthMismatch(f"cannot XOR {len(a)} bytes with {len(b)}")
-    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
+    operands = int.from_bytes(_CHECK_A, "little") ^ int.from_bytes(_CHECK_B, "little")
+    for flat, expected in vectors.CTR_KEYSTREAMS:
+        rk = bytes.fromhex(flat)
+        reference = (int.from_bytes(bytes.fromhex(expected), "little") ^ operands).to_bytes(48, "little")
+        for n in (1, 15, 17, 48):
+            if kernel.ctr_xor(nonce, rk, _T_TABLES, _SBOX_BYTES, _CHECK_A, _CHECK_B, n) != reference[:n]:
+                return False
+    return True
 
 
 # --- envelope --------------------------------------------------------------
@@ -264,6 +309,125 @@ class Envelope:
 
 # --- message pipeline -------------------------------------------------------
 
+# decrypt_message and Cipher.open refuse output past this many bytes unless
+# the caller raises or lifts the cap: chained LZ78 tokens grow the output
+# quadratically in the input, so a few kilobytes could otherwise ask for
+# gigabytes, and the declared plaintext length is the sender's to choose.
+DEFAULT_MAX_OUTPUT = 64 << 20
+
+
+# a cipher keeps at most this many keystream bytes
+_CACHE_BYTES = 256 << 10
+
+
+class Cipher:
+    """Seals and opens messages under one master key.
+
+    The key material and the round keys are derived once, when the cipher
+    is made.  The whitening keystream depends on the key alone, so the
+    cipher keeps the bytes of it drawn so far, with the chaos state after
+    them; a shorter message uses a prefix of them, a longer one draws the
+    missing bytes and keeps them, up to 256 KiB (`_CACHE_BYTES`).  Bytes
+    past that are drawn for the message and then dropped.
+
+    The drawn bytes and their state are one immutable pair, replaced whole
+    after an extension and never advanced in place, so one cipher may seal
+    and open from several threads at once; a race at worst draws the same
+    bytes twice.
+    """
+
+    def __init__(self, master_key: bytes, matrix: Matrix3D | None = None, standard_schedule: bool = False):
+        km = derive_key_material(master_key, matrix)
+        round_keys = rijndael_round_keys(bytes(master_key)) if standard_schedule else km.round_keys
+        self._round_keys = _round_key_bytes(round_keys)
+        self._final_key = km.final_key
+        # (keystream bytes drawn so far, Q0.63 chaos state after them)
+        self._drawn = (b"", keystream_seed(km.key1).m_raw)
+
+    def _draw(self, state: ChaoticState, offset: int, n: int) -> bytes:
+        # keystream bytes offset .. offset + n - 1: the cycled final key
+        # restarts where the bytes before them left it
+        fk = self._final_key
+        i = offset % len(fk)
+        return generate_keystream(state, fk[i:] + fk[:i], n)
+
+    def _keystream(self, n: int) -> bytes:
+        """At least ``n`` bytes of the whitening keystream."""
+        drawn, m_raw = self._drawn
+        if n <= len(drawn):
+            return drawn
+        state = ChaoticState(m_raw, DOMAIN_KEYSTREAM)
+        keep = min(n, _CACHE_BYTES)
+        if keep > len(drawn):
+            drawn += self._draw(state, len(drawn), keep - len(drawn))
+            self._drawn = (drawn, state.m_raw)
+        if n > len(drawn):
+            drawn += self._draw(state, len(drawn), n - len(drawn))
+        return drawn
+
+    def seal(self, nonce: bytes, plaintext: bytes, compress: bool = True) -> Envelope:
+        """Compress (optionally), whiten with the chaotic keystream, then
+        counter-mode encrypt, in one pass after compression."""
+        _check_nonce(nonce)
+        data = lz78.pack(plaintext) if compress else bytes(plaintext)
+        payload = _ctr_xor(nonce, self._round_keys, data, self._keystream(len(data)), len(data))
+        return Envelope(
+            flags=FLAG_LZ78 if compress else 0,
+            nonce=bytes(nonce),
+            plain_len=len(plaintext),
+            payload=payload,
+        )
+
+    def open(self, env: Envelope, *, max_output: int | None = DEFAULT_MAX_OUTPUT) -> bytes:
+        """Invert `seal`; verifies the declared plaintext length.
+
+        Raises `OutputLimitExceeded` before any output past ``max_output``
+        bytes is made; None lifts the cap.
+        """
+        payload = bytes(env.payload)
+        compressed = env.flags & FLAG_LZ78
+        if max_output is not None and not compressed and len(payload) > max_output:
+            raise OutputLimitExceeded(f"{len(payload)} bytes exceed the {max_output}-byte output limit")
+        data = _ctr_xor(env.nonce, self._round_keys, payload, self._keystream(len(payload)), len(payload))
+        if compressed:
+            limit = env.plain_len if max_output is None else min(env.plain_len, max_output)
+            plaintext = lz78.unpack(data, max_output=limit)
+        else:
+            plaintext = data
+        if len(plaintext) != env.plain_len:
+            raise LengthMismatch(
+                f"decoded {len(plaintext)} bytes, envelope declares {env.plain_len}"
+            )
+        return plaintext
+
+
+# encrypt_message and decrypt_message keep the cipher of the last key they
+# used, as ((master key, matrix, standard_schedule), cipher), replaced in one
+# assignment: a sender seals a run of messages under one key, and an open in
+# the sealing process reuses the seal's key
+_last: tuple[tuple, Cipher] | None = None
+
+
+def _cached_cipher(master_key: bytes, matrix: Matrix3D | None, standard_schedule: bool) -> Cipher:
+    """The cipher of the arguments: the last one if its key is theirs, else
+    a new one that replaces it."""
+    global _last
+    key = (bytes(master_key), matrix, standard_schedule)
+    last = _last
+    if last is not None and last[0] == key:
+        return last[1]
+    cipher = Cipher(*key)
+    _last = (key, cipher)
+    return cipher
+
+
+def clear_key_cache() -> None:
+    """Drop the cipher kept by `encrypt_message` and `decrypt_message`, with
+    its key material and keystream."""
+    global _last
+    _last = None
+
+
 def encrypt_message(
     master_key: bytes,
     nonce: bytes,
@@ -273,33 +437,13 @@ def encrypt_message(
     matrix: Matrix3D | None = None,
     standard_schedule: bool = False,
 ) -> Envelope:
-    """Compress (optionally), whiten with the chaotic keystream, then
-    counter-mode encrypt.
+    """`Cipher.seal` under ``master_key``, with the key's cached cipher.
 
     ``standard_schedule`` swaps the chaos-derived round keys for the classic
     expansion of the master key (which must then be 16 bytes); decryption
     must use the same setting.
     """
-    if not master_key:
-        raise EmptyKey("master key must not be empty")
-    if len(nonce) != 12:
-        raise LengthMismatch(f"nonce must be 12 bytes, got {len(nonce)}")
-    km = derive_key_material(master_key, matrix)
-    if compress:
-        data = lz78.pack(plaintext)
-    else:
-        data = bytes(plaintext)
-    ks = generate_keystream(keystream_seed(km.key1), km.final_key, len(data))
-    whitened = _xor(data, ks)
-    round_keys = rijndael_round_keys(master_key) if standard_schedule else km.round_keys
-    stream = _ctr_keystream(bytes(nonce), (len(whitened) + 15) // 16, round_keys)
-    payload = _xor(whitened, stream[: len(whitened)])
-    return Envelope(
-        flags=FLAG_LZ78 if compress else 0,
-        nonce=bytes(nonce),
-        plain_len=len(plaintext),
-        payload=payload,
-    )
+    return _cached_cipher(master_key, matrix, standard_schedule).seal(nonce, plaintext, compress)
 
 
 def decrypt_message(
@@ -308,22 +452,7 @@ def decrypt_message(
     *,
     matrix: Matrix3D | None = None,
     standard_schedule: bool = False,
+    max_output: int | None = DEFAULT_MAX_OUTPUT,
 ) -> bytes:
-    """Invert :func:`encrypt_message`; verifies the declared plaintext length."""
-    if not master_key:
-        raise EmptyKey("master key must not be empty")
-    km = derive_key_material(master_key, matrix)
-    round_keys = rijndael_round_keys(master_key) if standard_schedule else km.round_keys
-    stream = _ctr_keystream(env.nonce, (len(env.payload) + 15) // 16, round_keys)
-    whitened = _xor(env.payload, stream[: len(env.payload)])
-    ks = generate_keystream(keystream_seed(km.key1), km.final_key, len(whitened))
-    data = _xor(whitened, ks)
-    if env.flags & FLAG_LZ78:
-        plaintext = lz78.unpack(data, max_output=env.plain_len)
-    else:
-        plaintext = data
-    if len(plaintext) != env.plain_len:
-        raise LengthMismatch(
-            f"decoded {len(plaintext)} bytes, envelope declares {env.plain_len}"
-        )
-    return plaintext
+    """`Cipher.open` under ``master_key``, with the key's cached cipher."""
+    return _cached_cipher(master_key, matrix, standard_schedule).open(env, max_output=max_output)

@@ -8,7 +8,7 @@ import sys
 
 from . import bench, lz78, selftest
 from ._native import kernel_path
-from .cipher import Envelope, decrypt_message, encrypt_message
+from .cipher import DEFAULT_MAX_OUTPUT, Envelope, decrypt_message, encrypt_message
 from .errors import ClaesError
 from .keymatrix import default_matrix, load_matrix
 from .keyschedule import derive_key_material
@@ -17,11 +17,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_SELFTEST = 3
-
-# `decompress` stops past this many output bytes unless --max-output raises
-# it: chained LZ78 tokens grow the output quadratically in the input, so a
-# few kilobytes could otherwise ask for gigabytes.
-DEFAULT_MAX_OUTPUT = 64 << 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,6 +74,16 @@ def _add_matrix_option(parser):
     parser.add_argument("--matrix", metavar="PATH", help="custom key-matrix config file")
 
 
+def _add_max_output_option(parser, what):
+    parser.add_argument(
+        "--max-output",
+        type=_byte_count_arg,
+        default=DEFAULT_MAX_OUTPUT,
+        metavar="BYTES",
+        help=f"refuse {what} that decode past BYTES (default {DEFAULT_MAX_OUTPUT})",
+    )
+
+
 def _master_key(args) -> bytes:
     if args.key is not None:
         return args.key
@@ -128,6 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="match an envelope produced with --standard-schedule",
     )
+    _add_max_output_option(p, "envelopes")
     p.set_defaults(handler=_cmd_decrypt)
 
     p = sub.add_parser("compress", help="LZ78-compress a file to a token stream")
@@ -138,13 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompress", help="restore a file from a token stream")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument(
-        "--max-output",
-        type=_byte_count_arg,
-        default=DEFAULT_MAX_OUTPUT,
-        metavar="BYTES",
-        help=f"refuse streams that decode past BYTES (default {DEFAULT_MAX_OUTPUT})",
-    )
+    _add_max_output_option(p, "streams")
     p.set_defaults(handler=_cmd_decompress)
 
     p = sub.add_parser("bench", help="time keystream generation over the sensor workloads")
@@ -214,6 +214,7 @@ def _cmd_decrypt(args) -> int:
         _master_key(args),
         matrix=_matrix(args),
         standard_schedule=args.standard_schedule,
+        max_output=args.max_output,
     )
     with open(args.output, "wb") as fh:
         fh.write(plaintext)

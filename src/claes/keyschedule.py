@@ -134,6 +134,9 @@ def derive_round_keys(seed: ChaoticState) -> tuple[bytes, ...]:
     return tuple(raw[i * 16:(i + 1) * 16] for i in range(11))
 
 
+# Matrix3D is immutable, so the default cube is built and checked once
+_DEFAULT_MATRIX = default_matrix()
+
 # derive_key3 of an all-zero Key2 is the pad itself: rotr1 of each LFSR
 # output byte.  The LFSR has period 255, so the pad repeats after 255 bytes.
 _PAD = derive_key3(bytes(255))
@@ -164,8 +167,7 @@ def derive_key_material(master_key: bytes, matrix: Matrix3D | None = None) -> Ke
     """Run the full derivation chain for one master key."""
     if not master_key:
         raise EmptyKey("master key must not be empty")
-    m = matrix if matrix is not None else default_matrix()
-    key1 = derive_key1(m, master_key)
+    key1 = derive_key1(matrix if matrix is not None else _DEFAULT_MATRIX, master_key)
     final_key = bytes(b ^ _PAD[i % 255] for i, b in enumerate(key1))
     round_keys = derive_round_keys(seed_from_key1(fold_seed_prefix(key1), DOMAIN_ROUND_KEYS))
     return KeyMaterial(key1, final_key, round_keys)

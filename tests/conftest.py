@@ -1,6 +1,13 @@
 import pytest
 
-from claes import _native
+from claes import _native, cipher
+
+
+@pytest.fixture(autouse=True)
+def empty_key_cache():
+    """Every test starts with no cached cipher, so a test that forces the
+    Python path never reuses keystream the kernel drew in an earlier one."""
+    cipher.clear_key_cache()
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,6 @@ from claes.cipher import (
     MAGIC,
     VERSION,
     Envelope,
-    _ctr_keystream,
     block_encrypt,
     decrypt_message,
     encrypt_message,
@@ -49,6 +48,12 @@ def _random_round_keys(rng):
 
 
 ZERO_ROUND_KEYS = (bytes(16),) * 11
+
+
+def _ctr_keystream(nonce, nblocks, round_keys):
+    # the fused pass on the active path, with both operands zero
+    zeros = bytes(16 * nblocks)
+    return cipher._ctr_xor(nonce, b"".join(round_keys), zeros, zeros, 16 * nblocks)
 
 
 # --- block core ---------------------------------------------------------------
@@ -132,9 +137,23 @@ def test_batched_counter_mode_matches_per_block():
 
 
 def test_ctr_keystream_refuses_counter_wrap():
-    # checked before any block is allocated, so this call allocates nothing
+    # checked before any other argument, so this call allocates nothing
     with pytest.raises(MessageTooLong):
-        _ctr_keystream(bytes(12), 2**32 + 1, ZERO_ROUND_KEYS)
+        cipher._ctr_xor(bytes(12), bytes(176), b"", b"", 16 * 2**32 + 1)
+    cipher._ctr_xor(bytes(12), bytes(176), b"", b"", 0)
+    with pytest.raises(LengthMismatch):
+        cipher._ctr_xor(bytes(12), bytes(176), b"", b"", 16 * 2**32)
+
+
+@pytest.mark.parametrize(
+    "nonce, round_keys, a, b",
+    [(bytes(11), bytes(176), bytes(5), bytes(5)), (bytes(12), bytes(160), bytes(5), bytes(5)),
+     (bytes(12), bytes(176), bytes(4), bytes(5)), (bytes(12), bytes(176), bytes(5), bytes(4))],
+    ids=["nonce", "round-keys", "a", "b"],
+)
+def test_ctr_xor_checks_its_arguments(nonce, round_keys, a, b):
+    with pytest.raises(LengthMismatch):
+        cipher._ctr_xor(nonce, round_keys, a, b, 5)
 
 
 def _ctr_oracle(nonce, counters, round_keys):
@@ -157,19 +176,28 @@ def test_ctr_known_answer_vectors(request, monkeypatch, compiled):
         assert _ctr_oracle(nonce, range(3), rk).hex() == expected
 
 
-# 1023-1025 and 2049 straddle the Python core's 1024-block chunks
+# 1023-1025 and 2049 straddle the Python core's 1024-block chunks; each count
+# runs whole, and one and fifteen bytes short, so n covers 0, 1, 15, 16, 17
 @pytest.mark.parametrize("nblocks", [0, 1, 2, 17, 256, 1023, 1024, 1025, 1537, 2049])
-@given(nonce=st.binary(min_size=12, max_size=12), flat=st.binary(min_size=176, max_size=176))
+@given(nonce=st.binary(min_size=12, max_size=12), flat=st.binary(min_size=176, max_size=176),
+       seed=st.integers(0, 2**32))
 @settings(max_examples=12, deadline=None)
-def test_compiled_ctr_matches_python_core_and_oracle(kernel, nblocks, nonce, flat):
-    compiled = kernel.ctr(nonce, nblocks, flat, cipher._T_TABLES, cipher._SBOX_BYTES)
-    assert compiled == cipher._python_ctr(nonce, nblocks, flat)
-    # the oracle takes about 1 ms a block: every block of short streams, and
-    # the first and last blocks of long ones and of each chunk
-    edges = {i for c in range(0, nblocks, cipher._CTR_CHUNK_BLOCKS) for i in (c - 1, c)}
-    counters = sorted(({*range(min(nblocks, 17)), nblocks - 1} | edges) - {-1})
+def test_compiled_ctr_matches_python_core_and_oracle(kernel, nblocks, nonce, flat, seed):
+    rng = random.Random(seed)
+    a = rng.randbytes(16 * nblocks)
+    b = rng.randbytes(16 * nblocks + rng.randrange(32))
     rk = tuple(flat[i:i + 16] for i in range(0, 176, 16))
-    assert b"".join(compiled[16 * i:16 * i + 16] for i in counters) == _ctr_oracle(nonce, counters, rk)
+    for n in sorted({max(0, 16 * nblocks - short) for short in (0, 1, 15)}):
+        compiled = kernel.ctr_xor(nonce, flat, cipher._T_TABLES, cipher._SBOX_BYTES, a, b, n)
+        assert compiled == cipher._python_ctr_xor(nonce, flat, a, b, n)
+        stream = bytes(x ^ y ^ z for x, y, z in zip(compiled, a, b))
+        # the oracle takes about 1 ms a block: every block of short streams,
+        # and the first and last blocks of long ones and of each chunk
+        blocks = -(-n // 16)
+        edges = {i for c in range(0, blocks, cipher._CTR_CHUNK_BLOCKS) for i in (c - 1, c)}
+        for i in sorted(({*range(min(blocks, 17)), blocks - 1} | edges) - {-1}):
+            got = stream[16 * i:16 * i + 16]
+            assert got == _ctr_oracle(nonce, [i], rk)[:len(got)]
 
 
 # --- envelope -------------------------------------------------------------------

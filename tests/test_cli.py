@@ -122,6 +122,19 @@ def test_decrypt_corrupted_magic(tmp_path, capsys):
     assert "BadMagic" in capsys.readouterr().err
 
 
+def test_decrypt_cap_applies_and_the_flag_raises_it(tmp_path, capsys):
+    src = tmp_path / "in.txt"
+    src.write_bytes(b"abc" * 1000)
+    enc, dst = tmp_path / "in.claes", tmp_path / "out.txt"
+    assert main(["encrypt", str(src), str(enc), "--key", KEY_HEX, "--nonce", NONCE_HEX]) == EXIT_OK
+    decrypt = ["decrypt", str(enc), str(dst), "--key", KEY_HEX]
+    assert main(decrypt + ["--max-output", "2999"]) == EXIT_DATA
+    assert "OutputLimitExceeded" in capsys.readouterr().err
+    assert not dst.exists()
+    assert main(decrypt + ["--max-output", "3000"]) == EXIT_OK
+    assert dst.read_bytes() == b"abc" * 1000
+
+
 def test_decrypt_missing_file_is_data_error(tmp_path, capsys):
     assert main(["decrypt", str(tmp_path / "nope"), str(tmp_path / "o"), "--key", KEY_HEX]) == EXIT_DATA
 

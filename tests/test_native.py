@@ -33,6 +33,11 @@ _WRONG_SOURCES = {
         "mixed_column(tables, s2, s3, s1, s0)",
         cipher,
     ),
+    "ctr-xor-operand": (
+        "out[at + j] = a[at + j] ^ b[at + j] ^ block[j];",
+        "out[at + j] = a[at + j] ^ b[j] ^ block[j];",
+        cipher,
+    ),
     "pack-varint-shift": ("v >>= 7;", "v >>= 6;", lz78),
     "unpack-varint-shift": ("shift += 7;", "shift += 6;", lz78),
     "unpack-limit": ("if (piece > limit - total)", "if (piece > limit - total + 1)", lz78),
