@@ -16,14 +16,13 @@
 
 #define ONE (UINT64_C(1) << 63)
 
-/* m' = 39999 * ((m * (2**63 - m)) >> 63) // 10000, truncating.
- * q < 2**61, so 39999 * q needs more than 64 bits; with q = 10000a + b,
- * 39999q // 10000 = 39999a + 39999b // 10000 exactly, and every division
- * stays 64-bit. */
+/* m' = 39999q // 10000 with q = (m * (2**63 - m)) >> 63, truncating.
+ * floor(39999q / 10000) = 4q - ceil(q / 10000) exactly, and q <= 2**61, so
+ * 4q fits in 64 bits: the 64 x 64-bit product is the only wide operation. */
 static inline uint64_t step(uint64_t m)
 {
     uint64_t q = (uint64_t)(((unsigned __int128)m * (ONE - m)) >> 63);
-    return 39999 * (q / 10000) + 39999 * (q % 10000) / 10000;
+    return 4 * q - (q + 9999) / 10000;
 }
 
 /* ChaoticState.take: n bytes at 4 steps each; returns the final state. */

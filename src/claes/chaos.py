@@ -72,9 +72,6 @@ class ChaoticState:
         self.domain_tag = domain_tag
         self.iterations = iterations
 
-    def copy(self) -> "ChaoticState":
-        return ChaoticState(self.m_raw, self.domain_tag, self.iterations)
-
     def __repr__(self) -> str:
         return (
             f"ChaoticState(m_raw={self.m_raw:#018x},"
@@ -129,9 +126,12 @@ def _burn_in_reference(m: int, steps: int, perturbation: int) -> int:
 
 
 # States the loaded kernel must reproduce before it is used: an ordinary
-# orbit, one next to 1.0, and 1, whose orbit reaches the fixed point 0 and
+# orbit; two whose first step meets the edge of the kernel's rounding
+# (q = (m * (2**63 - m)) >> 63 is 0 and 1 mod R_DEN), where a one-ulp error
+# does not merge back into the orbit within 64 bytes, as it does from most
+# states; one next to 1.0; and 1, whose orbit reaches the fixed point 0 and
 # so takes the burn-in restart.
-_KERNEL_CHECK_STATES = (0x0FEDCBA987654321, _ONE - 3, 1)
+_KERNEL_CHECK_STATES = (0x0FEDCBA987654321, 0x0FEDCBA98766674E, 0x0FEDCBA98765CB4B, _ONE - 3, 1)
 
 
 def kernel_matches_reference(kernel: _native.Kernel, n: int = 64) -> bool:

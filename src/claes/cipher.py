@@ -70,9 +70,6 @@ def _xtime(a: int) -> int:
     return ((a << 1) ^ 0x1B) & 0xFF if a & 0x80 else a << 1
 
 
-MUL2 = tuple(_xtime(a) for a in range(256))
-MUL3 = tuple(_xtime(a) ^ a for a in range(256))
-
 # flat states are column-major (index r + 4c); row r rotates left by r
 SHIFT = tuple((i % 4) + 4 * (((i // 4) + (i % 4)) % 4) for i in range(16))
 
@@ -146,7 +143,7 @@ def _encrypt_blocks(blocks: bytes, round_keys: bytes) -> bytes:
 # state column is four table lookups XORed with a round-key word.  Table r,
 # entry a, is the MixColumns column (rows 0-3, low byte first) of S(a) in
 # row r, as a little-endian word: (2, 1, 1, 3) * S(a) rotated down by r.
-_COLUMNS = tuple((MUL2[s], s, s, MUL3[s]) for s in SBOX)
+_COLUMNS = tuple((_xtime(s), s, s, _xtime(s) ^ s) for s in SBOX)
 _T_TABLES = bytes(b for r in range(4) for col in _COLUMNS for b in col[4 - r:] + col[:4 - r])
 
 
@@ -170,35 +167,25 @@ MAX_CTR_BLOCKS = 1 << 32
 _CTR_CHUNK_BLOCKS = 1024
 
 
-def _python_ctr(nonce: bytes, nblocks: int, round_keys: bytes, first: int = 0) -> bytes:
-    """AES-128(``nonce`` || counter) for counters ``first`` .. ``first`` +
-    ``nblocks`` - 1 under the 176 ``round_keys`` bytes, in chunks of
-    `_CTR_CHUNK_BLOCKS`."""
-    chunks = []
-    for start in range(first, first + nblocks, _CTR_CHUNK_BLOCKS):
-        count = min(_CTR_CHUNK_BLOCKS, first + nblocks - start)
-        # every block is the nonce, then its counter's four bytes laid in
-        # by four strided slices
-        blocks = bytearray((nonce + bytes(4)) * count)
-        counters = struct.pack(f">{count}I", *range(start, start + count))
-        for j in range(4):
-            blocks[12 + j::16] = counters[j::4]
-        chunks.append(_encrypt_blocks(blocks, round_keys))
-    return b"".join(chunks)
-
-
 def _python_ctr_xor(nonce: bytes, round_keys: bytes, a: bytes, b: bytes, n: int) -> bytes:
-    """`_ctr_xor` in Python: one chunk of counter blocks at a time, each
-    XORed into its stretch of ``a`` and ``b`` as one integer."""
+    """`_ctr_xor` in Python, one chunk of `_CTR_CHUNK_BLOCKS` counter blocks
+    at a time: the chunk's blocks are built, encrypted, and XORed into its
+    stretch of ``a`` and ``b`` as one integer."""
     out = []
     step = 16 * _CTR_CHUNK_BLOCKS
     for start in range(0, n, step):
         size = min(step, n - start)
-        stream = _python_ctr(nonce, -(-size // 16), round_keys, start // 16)[:size]
+        count, first = -(-size // 16), start // 16
+        # every block is the nonce, then its counter's four bytes laid in
+        # by four strided slices
+        blocks = bytearray((nonce + bytes(4)) * count)
+        counters = struct.pack(f">{count}I", *range(first, first + count))
+        for j in range(4):
+            blocks[12 + j::16] = counters[j::4]
         x = (
             int.from_bytes(a[start:start + size], "little")
             ^ int.from_bytes(b[start:start + size], "little")
-            ^ int.from_bytes(stream, "little")
+            ^ int.from_bytes(_encrypt_blocks(blocks, round_keys)[:size], "little")
         )
         out.append(x.to_bytes(size, "little"))
     return b"".join(out)

@@ -203,6 +203,37 @@ def test_a_kernel_that_differs_is_not_used(tmp_path, monkeypatch):
     assert seed_from_key1(bytes(9), 0x00).take(1)[0] == FIRST_BYTE_ZEROS_00
 
 
+def _take_state(m, n, constant=9999):
+    # the kernel's step, with `constant` in place of its rounding constant
+    for _ in range(4 * n):
+        q = (m * (chaos._ONE - m)) >> 63
+        m = 4 * q - (q + constant) // chaos.R_DEN
+    return m
+
+
+def test_kernel_step_identity():
+    # floor(39999q / 10000) == 4q - ceil(q / 10000) for every q the map makes
+    rng = random.Random(15)
+    qs = [0, 1, 9999, 10000, 10001, 1 << 61] + [rng.randrange((1 << 61) + 1) for _ in range(100_000)]
+    for q in qs:
+        assert 4 * q - (q + 9999) // 10000 == 39999 * q // 10000
+    for m in chaos._KERNEL_CHECK_STATES:
+        assert _take_state(m, 64) == chaos._take_reference(m, 64)[1]
+
+
+def test_kernel_check_states_meet_the_rounding_edge():
+    # a wrong rounding constant errs by one ulp at one residue of q mod
+    # 10000 only: + 9998 at 1, + 10000 at 0.  Some check state must start on
+    # that residue and carry the error to the end of the 64-byte check.
+    for residue, constant in ((1, 9998), (0, 10000)):
+        assert any(
+            ((m * (chaos._ONE - m)) >> 63) % chaos.R_DEN == residue
+            and m > 1
+            and _take_state(m, 64, constant) != _take_state(m, 64)
+            for m in chaos._KERNEL_CHECK_STATES
+        )
+
+
 def _golden_vectors_hold():
     for entry in vectors.GOLDEN_KEYS.values():
         km = derive_key_material(bytes.fromhex(entry["master"]))
