@@ -55,6 +55,15 @@ uint64_t claes_chaos_burn_in(uint64_t m, unsigned steps, uint64_t perturbation)
     return m;
 }
 
+/* seed_from_key1's burn-ins for two streams of one key: burn in `first`
+ * and write its first n bytes to out, then burn in `second` and return it. */
+uint64_t claes_chaos_seed_pair(uint64_t first, uint64_t second, unsigned steps, uint64_t perturbation,
+                               unsigned char *out, size_t n)
+{
+    claes_chaos_take(claes_chaos_burn_in(first, steps, perturbation), out, n);
+    return claes_chaos_burn_in(second, steps, perturbation);
+}
+
 /* --- AES-128 counter mode ---------------------------------------------------- */
 
 static inline uint32_t le32(const unsigned char *p)

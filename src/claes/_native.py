@@ -41,6 +41,10 @@ class Kernel:
         self.burn_in = lib.claes_chaos_burn_in
         self.burn_in.argtypes = (ctypes.c_uint64, ctypes.c_uint, ctypes.c_uint64)
         self.burn_in.restype = ctypes.c_uint64
+        self._seed_pair = lib.claes_chaos_seed_pair
+        self._seed_pair.argtypes = (ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint, ctypes.c_uint64,
+                                    ctypes.c_char_p, ctypes.c_size_t)
+        self._seed_pair.restype = ctypes.c_uint64
         self._ctr_xor = lib.claes_ctr_xor
         self._ctr_xor.argtypes = (ctypes.c_char_p,) * 6 + (ctypes.c_size_t, ctypes.c_char_p)
         self._ctr_xor.restype = None
@@ -61,6 +65,13 @@ class Kernel:
         """``n`` stream bytes from state ``m``, and the state after them."""
         buf = ctypes.create_string_buffer(n)
         m = self._take(m, buf, n)
+        return buf.raw, m
+
+    def seed_pair(self, first: int, second: int, steps: int, perturbation: int, n: int) -> tuple[bytes, int]:
+        """``n`` stream bytes from state ``first`` after its burn-in, and
+        state ``second`` after its own."""
+        buf = ctypes.create_string_buffer(n)
+        m = self._seed_pair(first, second, steps, perturbation, buf, n)
         return buf.raw, m
 
     def ctr_xor(self, nonce: bytes, round_keys: bytes, tables: bytes, sbox: bytes,

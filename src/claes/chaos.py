@@ -11,10 +11,11 @@ output everywhere.
 i is carried as the exact rational 39999/10000 rather than a binary
 fraction, so the constant is represented without approximation.
 
-The Python loops here are the reference.  `ChaoticState.take` and the
-burn-in of `seed_from_key1` run the same arithmetic compiled (``_kernel.c``,
-see `_native`) when that kernel can be built and gives the reference's
-bytes on known streams; otherwise they run the Python loops.
+The Python loops here are the reference.  `ChaoticState.take`, the
+burn-in of `seed_from_key1` and `seed_pair` run the same arithmetic
+compiled (``_kernel.c``, see `_native`) when that kernel can be built and
+gives the reference's bytes on known streams; otherwise they run the Python
+loops.
 """
 
 from __future__ import annotations
@@ -134,15 +135,41 @@ def _burn_in_reference(m: int, steps: int, perturbation: int) -> int:
 _KERNEL_CHECK_STATES = (0x0FEDCBA987654321, 0x0FEDCBA98766674E, 0x0FEDCBA98765CB4B, _ONE - 3, 1)
 
 
+def _seed_pair_reference(first: int, second: int, steps: int, perturbation: int, n: int) -> tuple[bytes, int]:
+    """``seed_pair``'s two burn-ins in Python: ``n`` bytes from ``first``
+    after its burn-in, and ``second`` after its own."""
+    out, _ = _take_reference(_burn_in_reference(first, steps, perturbation), n)
+    return out, _burn_in_reference(second, steps, perturbation)
+
+
+# `seed_pair` runs `take` and `burn_in`, which the check runs on longer
+# streams; this many bytes of its first stream show where that stream starts
+_SEED_PAIR_CHECK_BYTES = 8
+
+
 def kernel_matches_reference(kernel: _native.Kernel, n: int = 64) -> bool:
     """Whether ``kernel``'s chaos functions give the Python loops' bytes and
-    states."""
+    states.  ``seed_pair`` starts its first stream from each check state and
+    its second from the one before it, so each burn-in serves both."""
+    steps, nudge, k = _BURN_IN_STEPS, _PERTURBATION, _SEED_PAIR_CHECK_BYTES
+    states = _KERNEL_CHECK_STATES
+    burned = [_burn_in_reference(m, steps, nudge) for m in states]
     return all(
         kernel.take(m, n) == _take_reference(m, n)
-        and kernel.burn_in(m, _BURN_IN_STEPS, _PERTURBATION)
-        == _burn_in_reference(m, _BURN_IN_STEPS, _PERTURBATION)
-        for m in _KERNEL_CHECK_STATES
+        and kernel.burn_in(m, steps, nudge) == burned[i]
+        and kernel.seed_pair(m, states[i - 1], steps, nudge, k) == (_take_reference(burned[i], k)[0], burned[i - 1])
+        for i, m in enumerate(states)
     )
+
+
+def _seed_value(key1_prefix: bytes, domain_tag: int) -> int:
+    """The state a stream's burn-in starts from (see `seed_from_key1`)."""
+    if len(key1_prefix) > 9:
+        raise ValueError("seed material is at most 9 bytes; fold longer keys first")
+    if not 0 <= domain_tag <= 0xFF:
+        raise ValueError("domain_tag must be a single byte")
+    u = int.from_bytes(bytes(key1_prefix).ljust(9, b"\x00"), "big") ^ (domain_tag * _TAG_SPREAD)
+    return _scramble64((u & _MASK64) ^ (u >> 64)) % _SEED_SPAN + 1
 
 
 def seed_from_key1(key1_prefix: bytes, domain_tag: int) -> ChaoticState:
@@ -158,14 +185,17 @@ def seed_from_key1(key1_prefix: bytes, domain_tag: int) -> ChaoticState:
     The returned state has its iteration counter at zero: it measures
     generation work, not seeding work.
     """
-    if len(key1_prefix) > 9:
-        raise ValueError("seed material is at most 9 bytes; fold longer keys first")
-    if not 0 <= domain_tag <= 0xFF:
-        raise ValueError("domain_tag must be a single byte")
-    prefix = bytes(key1_prefix).ljust(9, b"\x00")
-    u = int.from_bytes(prefix, "big") ^ (domain_tag * _TAG_SPREAD)
-    m = _scramble64((u & _MASK64) ^ (u >> 64)) % _SEED_SPAN + 1
-
+    m = _seed_value(key1_prefix, domain_tag)
     kernel = _native.kernel()
     burn_in = kernel.burn_in if kernel is not None else _burn_in_reference
     return ChaoticState(burn_in(m, _BURN_IN_STEPS, _PERTURBATION), domain_tag=domain_tag)
+
+
+def seed_pair(key1_prefix: bytes, first_tag: int, second_tag: int, n: int) -> tuple[bytes, int]:
+    """Two streams of one prefix, seeded in one kernel call: the first ``n``
+    bytes of ``seed_from_key1(key1_prefix, first_tag)``, and the ``m_raw``
+    of ``seed_from_key1(key1_prefix, second_tag)``."""
+    first, second = _seed_value(key1_prefix, first_tag), _seed_value(key1_prefix, second_tag)
+    kernel = _native.kernel()
+    seed = kernel.seed_pair if kernel is not None else _seed_pair_reference
+    return seed(first, second, _BURN_IN_STEPS, _PERTURBATION, n)

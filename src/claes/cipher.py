@@ -44,7 +44,7 @@ from .errors import (
     UnknownFlags,
 )
 from .keymatrix import Matrix3D
-from .keyschedule import DOMAIN_KEYSTREAM, derive_key_material, generate_keystream, keystream_seed
+from .keyschedule import DOMAIN_KEYSTREAM, derive_key_material, generate_keystream
 
 SBOX = (
     0x63, 0x7C, 0x77, 0x7B, 0xF2, 0x6B, 0x6F, 0xC5, 0x30, 0x01, 0x67, 0x2B, 0xFE, 0xD7, 0xAB, 0x76,
@@ -324,12 +324,14 @@ class Cipher:
     """
 
     def __init__(self, master_key: bytes, matrix: Matrix3D | None = None, standard_schedule: bool = False):
-        km = derive_key_material(master_key, matrix)
-        round_keys = rijndael_round_keys(bytes(master_key)) if standard_schedule else km.round_keys
-        self._round_keys = _round_key_bytes(round_keys)
+        km = derive_key_material(master_key, matrix, round_keys=not standard_schedule)
+        if standard_schedule:
+            self._round_keys = _round_key_bytes(rijndael_round_keys(bytes(master_key)))
+        else:
+            self._round_keys = km.round_key_bytes
         self._final_key = km.final_key
         # (keystream bytes drawn so far, Q0.63 chaos state after them)
-        self._drawn = (b"", keystream_seed(km.key1).m_raw)
+        self._drawn = (b"", km.keystream_state)
 
     def _draw(self, state: ChaoticState, offset: int, n: int) -> bytes:
         # keystream bytes offset .. offset + n - 1: the cycled final key

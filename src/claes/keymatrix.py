@@ -4,7 +4,10 @@ Every byte value owns one cell of a 4x8x8 cube whose entries index a
 60-glyph alphabet (Latin capitals, decimal digits, Greek minuscules).
 Encoding a byte reads three cells at rotated coordinates, so the code
 depends on all three axes.  Bytes declared absent encode as "000": three
-zero-digit glyphs, i.e. alphabet index 26 three times.
+zero-digit glyphs, i.e. alphabet index 26 three times.  A matrix keeps its
+codes as three 256-byte tables, so the first key of a master key is three
+`bytes.translate` calls; `encode_byte` is the reference they are tested
+against.
 """
 
 from __future__ import annotations
@@ -33,9 +36,13 @@ def byte_coords(b: int) -> tuple[int, int, int]:
 
 
 class Matrix3D:
-    """Immutable 4x8x8 cube of alphabet indices plus per-byte presence flags."""
+    """Immutable 4x8x8 cube of alphabet indices plus per-byte presence flags.
 
-    __slots__ = ("cells", "presence")
+    ``tables`` holds the three 256-byte code tables: byte b encodes as
+    ``(tables[0][b], tables[1][b], tables[2][b])``, as `encode_byte` gives.
+    """
+
+    __slots__ = ("cells", "presence", "tables")
 
     def __init__(self, cells, presence=None):
         cells = tuple(tuple(tuple(row) for row in plane) for plane in cells)
@@ -56,6 +63,20 @@ class Matrix3D:
                 raise ValueError("presence must cover all 256 byte values")
         self.cells = cells
         self.presence = presence
+        # byte b is cell b of the flattened cube, so its first code symbol
+        # is flat[b]; the second reads the plane transposed (row r of the
+        # transpose is flat[64p + r::8]), the third the next plane
+        flat = bytes(v for plane in cells for row in plane for v in row)
+        tables = (
+            bytearray(flat),
+            bytearray(b"".join(flat[p + r:p + 64:8] for p in range(0, 256, 64) for r in range(8))),
+            bytearray(flat[64:] + flat[:64]),
+        )
+        for b, present in enumerate(presence):
+            if not present:
+                for t in tables:
+                    t[b] = ZERO_DIGIT_INDEX
+        self.tables = tuple(bytes(t) for t in tables)
 
     def __repr__(self) -> str:
         absent = 256 - sum(self.presence)
@@ -81,12 +102,14 @@ def encode_byte(m: Matrix3D, b: int) -> SymbolCode:
 
 
 def derive_key1(m: Matrix3D, master_key: bytes) -> bytes:
-    """First key: the concatenated 3-byte codes of every master-key byte."""
+    """First key: the concatenated 3-byte codes of every master-key byte,
+    symbol k of each code from code table k."""
     if not master_key:
         raise EmptyKey("master key must not be empty")
-    out = bytearray()
-    for b in master_key:
-        out.extend(encode_byte(m, b))
+    master_key = bytes(master_key)
+    out = bytearray(3 * len(master_key))
+    for k, table in enumerate(m.tables):
+        out[k::3] = master_key.translate(table)
     return bytes(out)
 
 

@@ -5,7 +5,9 @@ and Key3 from a rotate/XOR pass driven by an 8-bit LFSR.  The pass maps each
 byte b to rotr1(rotl1(b) ^ l) = b ^ rotr1(l), so Key3 is Key2 XOR a fixed
 period-255 pad, and the final key, Key1 ^ Key2 ^ Key3, is Key1 ^ pad: Key2
 cancels out.  `derive_key_material` therefore computes the final key from
-Key1 and the pad alone, and Key2 and Key3 are built only when read.
+Key1 and the pad alone, as one integer XOR, and Key2 and Key3 are built only
+when read.  It folds Key1 into seed material once and seeds the round-key
+and keystream streams from it in one call (`chaos.seed_pair`).
 
 A message-length keystream is then produced by running the chaotic
 generator on, one byte of final key folded into each output byte; that call
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .chaos import ChaoticState, seed_from_key1
+from .chaos import ChaoticState, seed_from_key1, seed_pair
 from .errors import EmptyKey, LengthMismatch, ZeroState
 from .keymatrix import Matrix3D, default_matrix, derive_key1, encode_byte
 
@@ -77,11 +79,15 @@ def fold_seed_prefix(key1: bytes) -> bytes:
     seed.  For keys of at most 9 bytes this is exactly the zero-padded
     prefix; taking only the literal first 9 bytes would leave the chaos
     streams blind to later master-key bytes and destroy key avalanche.
+    The fold is the XOR of Key1's 9-byte pieces read as big-endian
+    integers, the last piece zero-padded.
     """
-    prefix = bytearray(9)
-    for i, b in enumerate(key1):
-        prefix[i % 9] ^= b
-    return bytes(prefix)
+    key1 = bytes(key1)
+    key1 += bytes(-len(key1) % 9)
+    prefix = 0
+    for i in range(0, len(key1), 9):
+        prefix ^= int.from_bytes(key1[i:i + 9], "big")
+    return prefix.to_bytes(9, "big")
 
 
 def derive_key2(seed: ChaoticState, key1: bytes) -> bytes:
@@ -125,13 +131,16 @@ def generate_keystream(seed: ChaoticState, final_key: bytes, n: int) -> bytes:
     return (int.from_bytes(raw, "little") ^ int.from_bytes(pad, "little")).to_bytes(n, "little")
 
 
+def _split_round_keys(raw: bytes) -> tuple[bytes, ...]:
+    return tuple(raw[i:i + 16] for i in range(0, len(raw), 16))
+
+
 def derive_round_keys(seed: ChaoticState) -> tuple[bytes, ...]:
     """176 chaotic bytes partitioned into eleven 16-byte round keys.
 
     Advances ``seed``.
     """
-    raw = seed.take(176)
-    return tuple(raw[i * 16:(i + 1) * 16] for i in range(11))
+    return _split_round_keys(seed.take(176))
 
 
 # Matrix3D is immutable, so the default cube is built and checked once
@@ -146,13 +155,22 @@ _PAD = derive_key3(bytes(255))
 class KeyMaterial:
     """Everything derived from one master key, immutable once built.
 
+    ``round_key_bytes`` holds the 176 chaos round-key bytes, empty when
+    they were not asked for, and ``keystream_state`` the Q0.63 state the
+    whitening keystream starts from, ``keystream_seed(key1).m_raw``.
     Key2 and Key3 do not reach the final key (see the module docstring);
-    they are derived on first access and then cached.
+    they, and the round keys as eleven blocks, are derived on first access
+    and then cached.
     """
 
     key1: bytes
     final_key: bytes
-    round_keys: tuple[bytes, ...]
+    round_key_bytes: bytes
+    keystream_state: int
+
+    @cached_property
+    def round_keys(self) -> tuple[bytes, ...]:
+        return _split_round_keys(self.round_key_bytes)
 
     @cached_property
     def key2(self) -> bytes:
@@ -163,14 +181,21 @@ class KeyMaterial:
         return derive_key3(self.key2)
 
 
-def derive_key_material(master_key: bytes, matrix: Matrix3D | None = None) -> KeyMaterial:
-    """Run the full derivation chain for one master key."""
+def derive_key_material(master_key: bytes, matrix: Matrix3D | None = None, round_keys: bool = True) -> KeyMaterial:
+    """Run the derivation chain for one master key.  ``round_keys=False``
+    skips the chaos round keys, for a caller that replaces them."""
     if not master_key:
         raise EmptyKey("master key must not be empty")
     key1 = derive_key1(matrix if matrix is not None else _DEFAULT_MATRIX, master_key)
-    final_key = bytes(b ^ _PAD[i % 255] for i, b in enumerate(key1))
-    round_keys = derive_round_keys(seed_from_key1(fold_seed_prefix(key1), DOMAIN_ROUND_KEYS))
-    return KeyMaterial(key1, final_key, round_keys)
+    n = len(key1)
+    pad = _PAD if n <= 255 else _PAD * -(-n // 255)
+    final_key = (int.from_bytes(key1, "little") ^ int.from_bytes(pad[:n], "little")).to_bytes(n, "little")
+    prefix = fold_seed_prefix(key1)
+    if round_keys:
+        rk, state = seed_pair(prefix, DOMAIN_ROUND_KEYS, DOMAIN_KEYSTREAM, 176)
+    else:
+        rk, state = b"", seed_from_key1(prefix, DOMAIN_KEYSTREAM).m_raw
+    return KeyMaterial(key1, final_key, rk, state)
 
 
 def keystream_seed(key1: bytes) -> ChaoticState:

@@ -29,6 +29,8 @@ def _check_golden_key_material():
         for field in ("key1", "key2", "key3", "final_key"):
             got = getattr(km, field)[:64].hex()
             assert got == entry[field], f"{name}.{field} mismatch"
+        assert km.final_key[255:].hex() == entry["final_key_tail"], f"{name}.final_key_tail mismatch"
+        assert km.keystream_state == keystream_seed(km.key1).m_raw, f"{name}.keystream_state mismatch"
         ks = generate_keystream(keystream_seed(km.key1), km.final_key, 64)
         assert ks.hex() == entry["keystream64"], f"{name}.keystream mismatch"
         rk = b"".join(km.round_keys)[:64].hex()

@@ -238,6 +238,7 @@ def test_criterion_7_golden_vectors():
             "key2": km.key2[:64].hex(),
             "key3": km.key3[:64].hex(),
             "final_key": km.final_key[:64].hex(),
+            "final_key_tail": km.final_key[255:].hex(),
             "keystream64": generate_keystream(keystream_seed(km.key1), km.final_key, 64).hex(),
             "round_keys64": b"".join(km.round_keys)[:64].hex(),
         }

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from claes import _native, chaos, vectors
-from claes.chaos import ChaoticState, _step_raw, seed_from_key1
+from claes.chaos import ChaoticState, _step_raw, seed_from_key1, seed_pair
 from claes.keyschedule import (
     DOMAIN_KEY2,
     DOMAIN_KEYSTREAM,
@@ -90,6 +90,15 @@ def test_seed_pads_short_prefixes():
 def test_seed_rejects_long_material():
     with pytest.raises(ValueError):
         seed_from_key1(bytes(10), 0)
+
+
+def test_seed_folds_prefix_byte_0_into_byte_8():
+    # the 72-bit prefix is folded to 64 bits by XORing its first byte into
+    # its last, so a change XORed into both is invisible to every domain
+    a = bytes(range(1, 10))
+    b = bytes([a[0] ^ 0x2A]) + a[1:8] + bytes([a[8] ^ 0x2A])
+    for tag in (DOMAIN_KEY2, DOMAIN_ROUND_KEYS, DOMAIN_KEYSTREAM):
+        assert seed_from_key1(a, tag).m_raw == seed_from_key1(b, tag).m_raw
 
 
 def test_seed_last_byte_changes_state():
@@ -188,6 +197,46 @@ def test_burn_in_restarts_once_on_a_fixed_point(kernel):
     assert seed_from_key1(bytes(9), 0).m_raw == expected == SEED_ZEROS_00
 
 
+def test_kernel_seed_pair_matches_the_references_from_every_check_state(kernel):
+    # state 1 steps to the fixed point 0 and takes the burn-in restart
+    states = chaos._KERNEL_CHECK_STATES
+    assert 1 in states
+    burned = {m: chaos._burn_in_reference(m, 100, 1 << 39) for m in states}
+    for first in states:
+        for second in states:
+            expected = (chaos._take_reference(burned[first], 176)[0], burned[second])
+            assert chaos._seed_pair_reference(first, second, 100, 1 << 39, 176) == expected
+            assert kernel.seed_pair(first, second, 100, 1 << 39, 176) == expected
+
+
+def _on_path(kernel, fn, *args):
+    saved = _native._kernel
+    _native._kernel = kernel
+    try:
+        return fn(*args)
+    finally:
+        _native._kernel = saved
+
+
+@given(
+    prefix=st.binary(max_size=9),
+    first=st.integers(0, 255),
+    second=st.integers(0, 255),
+    n=st.integers(0, 300),
+)
+@settings(max_examples=60, deadline=None)
+@example(prefix=bytes(9), first=0, second=0, n=176)  # both take the burn-in restart
+@example(prefix=b"\x01\x02\x03", first=DOMAIN_ROUND_KEYS, second=DOMAIN_KEYSTREAM, n=176)
+def test_seed_pair_is_two_seeded_streams(kernel, prefix, first, second, n):
+    def separately():
+        return seed_from_key1(prefix, first).take(n), seed_from_key1(prefix, second).m_raw
+
+    expected = _on_path(None, separately)
+    assert _on_path(None, seed_pair, prefix, first, second, n) == expected
+    assert _on_path(kernel, seed_pair, prefix, first, second, n) == expected
+    assert _on_path(kernel, separately) == expected
+
+
 def test_a_kernel_that_differs_is_not_used(tmp_path, monkeypatch):
     # a library that folds the wrong bits into each byte must not change any byte
     wrong = tmp_path / "_kernel.c"
@@ -241,6 +290,8 @@ def _golden_vectors_hold():
         assert ks.hex() == entry["keystream64"]
         assert b"".join(km.round_keys)[:64].hex() == entry["round_keys64"]
         assert km.key2[:64].hex() == entry["key2"]
+        assert km.final_key[255:].hex() == entry["final_key_tail"]
+        assert km.keystream_state == keystream_seed(km.key1).m_raw
 
 
 def test_loader_falls_back_without_a_compiler(tmp_path, monkeypatch):

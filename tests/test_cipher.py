@@ -382,6 +382,34 @@ def test_standard_schedule_mode():
     assert out != plaintext
 
 
+def test_standard_schedule_draws_no_chaos_round_keys(monkeypatch):
+    from claes import chaos
+
+    monkeypatch.setattr(_native, "_kernel", None)
+    taken = []
+    reference = chaos._take_reference
+    monkeypatch.setattr(chaos, "_take_reference", lambda m, n: taken.append(n) or reference(m, n))
+    nonce = bytes(range(12))
+    plaintext = bytes(range(40))
+    env = cipher.Cipher(FIPS_KEY, standard_schedule=True).seal(nonce, plaintext, compress=False)
+    assert 176 not in taken
+    # the same bytes as the oracle: chaos whitening, standard round keys
+    whitening = oracles.keystream(FIPS_KEY, 40)
+    stream = oracles.ctr_keystream(nonce, 3, oracles.expand_key(FIPS_KEY))
+    assert env.payload == bytes(a ^ b ^ c for a, b, c in zip(plaintext, whitening, stream))
+    cipher.Cipher(FIPS_KEY)
+    assert 176 in taken
+
+
+def test_a_colliding_master_key_byte_opens_the_envelope():
+    # 0x06 and 0xA0 share a code in the default cube, so they give one Key1
+    sealing = bytes([0x06]) + bytes(range(1, 16))
+    opening = bytes([0xA0]) + bytes(range(1, 16))
+    env = encrypt_message(sealing, bytes(12), b"equivalent keys", compress=False)
+    cipher.clear_key_cache()
+    assert decrypt_message(env, opening) == b"equivalent keys"
+
+
 def test_standard_schedule_requires_16_byte_master():
     with pytest.raises(LengthMismatch):
         encrypt_message(b"short", bytes(12), b"x", standard_schedule=True)

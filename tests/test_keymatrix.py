@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from claes.errors import EmptyKey, MatrixConfigError
 from claes.keymatrix import (
@@ -99,6 +101,46 @@ def test_single_byte_change_is_local():
                 assert chunk_a != chunk_b
             else:
                 assert chunk_a == chunk_b
+
+
+_CELLS = st.tuples(st.integers(0, 3), st.integers(0, 7), st.integers(0, 7))
+
+
+@given(
+    master=st.binary(min_size=1, max_size=64),
+    overrides=st.dictionaries(_CELLS, st.integers(0, len(ALPHABET) - 1), max_size=24),
+    absent=st.sets(st.integers(0, 255), max_size=24),
+)
+@example(master=bytes(range(256)), overrides={}, absent=set())
+@example(master=b"\x00\xff", overrides={(0, 0, 0): 59, (3, 7, 7): 0}, absent={0x00, 0x80, 0xFF})
+@settings(max_examples=100, deadline=None)
+def test_code_tables_match_encode_byte(master, overrides, absent):
+    text = "\n".join(
+        [f"{p} {r} {c} {index}" for (p, r, c), index in overrides.items()]
+        + [f"absent {b:02x}" for b in absent]
+    )
+    # the master key also holds every absent byte
+    master += bytes(sorted(absent))
+    for m in (default_matrix(), parse_matrix_config(text)):
+        assert all(tuple(t[b] for t in m.tables) == encode_byte(m, b) for b in range(256))
+        assert derive_key1(m, master) == bytes(s for b in master for s in encode_byte(m, b))
+
+
+# pairs of byte values that share a code under the default cube: each pair
+# is one master-key byte to an attacker
+DEFAULT_COLLISIONS = [
+    (0x06, 0xA0), (0x07, 0xA1), (0x0E, 0xA8), (0x0F, 0xA9),
+    (0x16, 0xB0), (0x17, 0xB1), (0x1E, 0xB8), (0x1F, 0xB9),
+    (0x30, 0x84), (0x31, 0x85), (0x32, 0x86), (0x33, 0x87),
+    (0x38, 0x8C), (0x39, 0x8D), (0x3A, 0x8E), (0x3B, 0x8F),
+]
+
+
+def test_default_cube_gives_240_codes_and_16_colliding_pairs():
+    codes = list(zip(*default_matrix().tables))
+    assert len(set(codes)) == 240
+    pairs = [(a, b) for a in range(256) for b in range(a + 1, 256) if codes[a] == codes[b]]
+    assert pairs == DEFAULT_COLLISIONS
 
 
 def test_config_override_and_comments():

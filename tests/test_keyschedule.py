@@ -8,6 +8,7 @@ from claes.chaos import seed_from_key1
 from claes.errors import LengthMismatch, ZeroState
 from claes.keymatrix import default_matrix
 from claes.keyschedule import (
+    _PAD,
     DOMAIN_KEY2,
     DOMAIN_KEYSTREAM,
     DOMAIN_ROUND_KEYS,
@@ -234,13 +235,39 @@ def test_domain_tags_separate_streams():
 
 def test_fold_seed_prefix():
     assert fold_seed_prefix(b"abc") == b"abc" + bytes(6)
-    key1 = bytes(range(20))
-    folded = fold_seed_prefix(key1)
-    assert len(folded) == 9
-    expected = bytearray(9)
-    for i, b in enumerate(key1):
-        expected[i % 9] ^= b
-    assert folded == bytes(expected)
+    # the XOR of 9-byte integers against the bytewise fold, for Key1
+    # lengths that are and are not multiples of 9
+    rng = random.Random(16)
+    for n in range(1, 301):
+        key1 = rng.randbytes(n)
+        expected = bytearray(9)
+        for i, b in enumerate(key1):
+            expected[i % 9] ^= b
+        assert fold_seed_prefix(key1) == bytes(expected), n
+
+
+@pytest.mark.parametrize("length", [1, 85, 86, 200])
+def test_final_key_across_the_pad_period(length):
+    # Key1 has 3 bytes per master-key byte, so from 86 bytes on it runs
+    # past the 255-byte pad period and the pad is cycled
+    master = random.Random(length).randbytes(length)
+    km = derive_key_material(master)
+    assert len(km.final_key) == 3 * length
+    assert km.final_key == bytes(b ^ _PAD[i % 255] for i, b in enumerate(km.key1))
+    assert km.final_key == derive_final_key(km.key1, km.key2, km.key3)
+    assert km.final_key == oracles.key_material(master)[3]
+
+
+def test_swapping_master_bytes_three_apart_keeps_both_seeds():
+    # bytes i and i + 3 fill Key1 positions 3i.. and 3i + 9.., which the
+    # stride-9 fold XORs together: the seeds cannot tell them apart
+    master = bytes(range(16))
+    swapped = master[3:4] + master[1:3] + master[0:1] + master[4:]
+    a, b = derive_key_material(master), derive_key_material(swapped)
+    assert fold_seed_prefix(a.key1) == fold_seed_prefix(b.key1)
+    assert a.round_keys == b.round_keys
+    assert a.keystream_state == b.keystream_state
+    assert a.final_key != b.final_key
 
 
 def test_key_material_xor_relation():
@@ -282,6 +309,8 @@ def test_key_material_matches_oracle_chain():
         k1, k2, k3, fk = oracles.key_material(master)
         assert (km.key1, km.key2, km.key3, km.final_key) == (k1, k2, k3, fk)
         assert km.round_keys == tuple(oracles.round_keys(master))
+        assert km.round_key_bytes == b"".join(km.round_keys)
+        assert km.keystream_state == keystream_seed(km.key1).m_raw
 
 
 def test_key_material_is_deterministic():
