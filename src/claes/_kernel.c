@@ -1,6 +1,7 @@
 /* Compiled twins of the three per-byte loops of the pipeline: the Q0.63
- * logistic map (chaos.py), AES-128 counter mode (cipher.py) and the LZ78
- * codec with its token wire format (lz78.py).
+ * logistic map's burn-in and byte draw, one function (chaos.py), AES-128
+ * counter mode (cipher.py) and the LZ78 codec with its token wire format
+ * (lz78.py).
  *
  * Built on first use with the system C compiler and loaded through ctypes
  * (see _native.py).  Every function must give exactly the bytes of the
@@ -25,19 +26,11 @@ static inline uint64_t step(uint64_t m)
     return 4 * q - (q + 9999) / 10000;
 }
 
-/* ChaoticState.take: n bytes at 4 steps each; returns the final state. */
-uint64_t claes_chaos_take(uint64_t m, unsigned char *out, size_t n)
-{
-    for (size_t t = 0; t < n; t++) {
-        m = step(step(step(step(m))));
-        out[t] = (unsigned char)((m >> 8) ^ (m >> 16) ^ (m >> 24) ^ (m >> 32));
-    }
-    return m;
-}
-
-/* seed_from_key1's burn-in: `steps` steps, restarted once from
- * m + perturbation (mod 2**63) should the orbit reach a fixed point. */
-uint64_t claes_chaos_burn_in(uint64_t m, unsigned steps, uint64_t perturbation)
+/* The one chaos entry point: `steps` steps of burn-in, restarted once from
+ * m + perturbation (mod 2**63) should the orbit reach a fixed point, then n
+ * bytes at 4 steps each.  Returns the final state.  seed_from_key1 runs it
+ * with n = 0 and ChaoticState.take with steps = 0. */
+uint64_t claes_chaos(uint64_t m, unsigned steps, uint64_t perturbation, unsigned char *out, size_t n)
 {
     int restarted = 0;
     unsigned done = 0;
@@ -52,16 +45,11 @@ uint64_t claes_chaos_burn_in(uint64_t m, unsigned steps, uint64_t perturbation)
         m = successor;
         done++;
     }
+    for (size_t t = 0; t < n; t++) {
+        m = step(step(step(step(m))));
+        out[t] = (unsigned char)((m >> 8) ^ (m >> 16) ^ (m >> 24) ^ (m >> 32));
+    }
     return m;
-}
-
-/* seed_from_key1's burn-ins for two streams of one key: burn in `first`
- * and write its first n bytes to out, then burn in `second` and return it. */
-uint64_t claes_chaos_seed_pair(uint64_t first, uint64_t second, unsigned steps, uint64_t perturbation,
-                               unsigned char *out, size_t n)
-{
-    claes_chaos_take(claes_chaos_burn_in(first, steps, perturbation), out, n);
-    return claes_chaos_burn_in(second, steps, perturbation);
 }
 
 /* --- AES-128 counter mode ---------------------------------------------------- */

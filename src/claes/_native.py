@@ -1,7 +1,8 @@
 """Build, load and check the compiled kernel, ``_kernel.c``, through ctypes.
 
 The kernel runs the three per-byte loops of the pipeline: the logistic map
-(`chaos`), AES-128 counter mode (`cipher`) and the LZ78 codec (`lz78`).
+(`chaos`, one function for burn-in then byte draw), AES-128 counter mode
+(`cipher`) and the LZ78 codec (`lz78`).
 It is compiled on first use with the system ``cc`` into the user's cache
 directory (``$XDG_CACHE_HOME/claes``, else ``~/.cache/claes``), under a file
 name that carries a CRC-32 of the source and the compiler flags, so an
@@ -34,17 +35,10 @@ class Kernel:
 
     def __init__(self, lib: ctypes.CDLL):
         self._lib = lib
-        self._take = lib.claes_chaos_take
-        self._take.argtypes = (ctypes.c_uint64, ctypes.c_char_p, ctypes.c_size_t)
-        self._take.restype = ctypes.c_uint64
-        # burn_in(m, steps, perturbation) -> m
-        self.burn_in = lib.claes_chaos_burn_in
-        self.burn_in.argtypes = (ctypes.c_uint64, ctypes.c_uint, ctypes.c_uint64)
-        self.burn_in.restype = ctypes.c_uint64
-        self._seed_pair = lib.claes_chaos_seed_pair
-        self._seed_pair.argtypes = (ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint, ctypes.c_uint64,
-                                    ctypes.c_char_p, ctypes.c_size_t)
-        self._seed_pair.restype = ctypes.c_uint64
+        self._chaos = lib.claes_chaos
+        self._chaos.argtypes = (ctypes.c_uint64, ctypes.c_uint, ctypes.c_uint64,
+                                ctypes.c_char_p, ctypes.c_size_t)
+        self._chaos.restype = ctypes.c_uint64
         self._ctr_xor = lib.claes_ctr_xor
         self._ctr_xor.argtypes = (ctypes.c_char_p,) * 6 + (ctypes.c_size_t, ctypes.c_char_p)
         self._ctr_xor.restype = None
@@ -61,17 +55,11 @@ class Kernel:
         )
         self._unpack.restype = ctypes.c_int
 
-    def take(self, m: int, n: int) -> tuple[bytes, int]:
-        """``n`` stream bytes from state ``m``, and the state after them."""
+    def chaos(self, m: int, steps: int, perturbation: int, n: int) -> tuple[bytes, int]:
+        """``n`` stream bytes from state ``m`` after ``steps`` steps of
+        burn-in, and the state after them (see `chaos._chaos_reference`)."""
         buf = ctypes.create_string_buffer(n)
-        m = self._take(m, buf, n)
-        return buf.raw, m
-
-    def seed_pair(self, first: int, second: int, steps: int, perturbation: int, n: int) -> tuple[bytes, int]:
-        """``n`` stream bytes from state ``first`` after its burn-in, and
-        state ``second`` after its own."""
-        buf = ctypes.create_string_buffer(n)
-        m = self._seed_pair(first, second, steps, perturbation, buf, n)
+        m = self._chaos(m, steps, perturbation, buf, n)
         return buf.raw, m
 
     def ctr_xor(self, nonce: bytes, round_keys: bytes, tables: bytes, sbox: bytes,
@@ -169,7 +157,7 @@ def load() -> Kernel | None:
 
 def kernel_matches_reference(kernel: Kernel, chaos_bytes: int = 64) -> bool:
     """Whether every function of ``kernel`` gives its Python reference's
-    bytes: the chaos loops on ``chaos_bytes``-byte streams, counter mode on
+    bytes: the chaos function on ``chaos_bytes``-byte streams, counter mode on
     pinned vectors, and the LZ78 codec on fixed inputs."""
     from . import chaos, cipher, lz78
 

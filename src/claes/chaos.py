@@ -11,11 +11,12 @@ output everywhere.
 i is carried as the exact rational 39999/10000 rather than a binary
 fraction, so the constant is represented without approximation.
 
-The Python loops here are the reference.  `ChaoticState.take`, the
-burn-in of `seed_from_key1` and `seed_pair` run the same arithmetic
-compiled (``_kernel.c``, see `_native`) when that kernel can be built and
-gives the reference's bytes on known streams; otherwise they run the Python
-loops.
+Seeding and drawing are one operation, burn in then take
+(`_chaos_reference`): `seed_from_key1` runs it with no bytes,
+`ChaoticState.take` with no burn-in, and `stream` with both.  The Python
+loops are the reference; the same arithmetic runs compiled (``_kernel.c``,
+see `_native`) when that kernel can be built and gives the reference's
+bytes on known streams, and the Python loops run otherwise.
 """
 
 from __future__ import annotations
@@ -86,9 +87,7 @@ class ChaoticState:
         into four 8-bit lanes.  The low bits are used because the map's
         arcsine-shaped invariant density crowds the high bits toward 0 and 1.
         """
-        kernel = _native.kernel()
-        take = kernel.take if kernel is not None else _take_reference
-        out, self.m_raw = take(self.m_raw, n)
+        out, self.m_raw = _chaos(self.m_raw, 0, n)
         self.iterations += 4 * n
         return out
 
@@ -97,21 +96,11 @@ def _step_raw(m: int) -> int:
     return R_NUM * ((m * (_ONE - m)) >> 63) // R_DEN
 
 
-def _take_reference(m: int, n: int) -> tuple[bytes, int]:
-    """``take`` in Python: ``n`` bytes from state ``m``, and the final state."""
-    out = bytearray(n)
-    for t in range(n):
-        m = R_NUM * ((m * (_ONE - m)) >> 63) // R_DEN
-        m = R_NUM * ((m * (_ONE - m)) >> 63) // R_DEN
-        m = R_NUM * ((m * (_ONE - m)) >> 63) // R_DEN
-        m = R_NUM * ((m * (_ONE - m)) >> 63) // R_DEN
-        out[t] = ((m >> 8) ^ (m >> 16) ^ (m >> 24) ^ (m >> 32)) & 0xFF
-    return bytes(out), m
-
-
-def _burn_in_reference(m: int, steps: int, perturbation: int) -> int:
-    """``steps`` map steps, restarted once from ``m + perturbation`` should
-    the orbit reach a fixed point."""
+def _chaos_reference(m: int, steps: int, perturbation: int, n: int) -> tuple[bytes, int]:
+    """Burn in, then take, in Python: ``steps`` map steps from ``m``,
+    restarted once from ``m + perturbation`` should the orbit reach a fixed
+    point, then ``n`` bytes at 4 steps each.  Returns the bytes and the
+    final state."""
     restarted = False
     done = 0
     while done < steps:
@@ -123,7 +112,22 @@ def _burn_in_reference(m: int, steps: int, perturbation: int) -> int:
             continue
         m = successor
         done += 1
-    return m
+    out = bytearray(n)
+    for t in range(n):
+        m = R_NUM * ((m * (_ONE - m)) >> 63) // R_DEN
+        m = R_NUM * ((m * (_ONE - m)) >> 63) // R_DEN
+        m = R_NUM * ((m * (_ONE - m)) >> 63) // R_DEN
+        m = R_NUM * ((m * (_ONE - m)) >> 63) // R_DEN
+        out[t] = ((m >> 8) ^ (m >> 16) ^ (m >> 24) ^ (m >> 32)) & 0xFF
+    return bytes(out), m
+
+
+def _chaos(m: int, steps: int, n: int) -> tuple[bytes, int]:
+    """`_chaos_reference` with the seeding nudge, on the kernel when it is
+    in use."""
+    kernel = _native.kernel()
+    run = kernel.chaos if kernel is not None else _chaos_reference
+    return run(m, steps, _PERTURBATION, n)
 
 
 # States the loaded kernel must reproduce before it is used: an ordinary
@@ -135,30 +139,15 @@ def _burn_in_reference(m: int, steps: int, perturbation: int) -> int:
 _KERNEL_CHECK_STATES = (0x0FEDCBA987654321, 0x0FEDCBA98766674E, 0x0FEDCBA98765CB4B, _ONE - 3, 1)
 
 
-def _seed_pair_reference(first: int, second: int, steps: int, perturbation: int, n: int) -> tuple[bytes, int]:
-    """``seed_pair``'s two burn-ins in Python: ``n`` bytes from ``first``
-    after its burn-in, and ``second`` after its own."""
-    out, _ = _take_reference(_burn_in_reference(first, steps, perturbation), n)
-    return out, _burn_in_reference(second, steps, perturbation)
-
-
-# `seed_pair` runs `take` and `burn_in`, which the check runs on longer
-# streams; this many bytes of its first stream show where that stream starts
-_SEED_PAIR_CHECK_BYTES = 8
-
-
 def kernel_matches_reference(kernel: _native.Kernel, n: int = 64) -> bool:
-    """Whether ``kernel``'s chaos functions give the Python loops' bytes and
-    states.  ``seed_pair`` starts its first stream from each check state and
-    its second from the one before it, so each burn-in serves both."""
-    steps, nudge, k = _BURN_IN_STEPS, _PERTURBATION, _SEED_PAIR_CHECK_BYTES
-    states = _KERNEL_CHECK_STATES
-    burned = [_burn_in_reference(m, steps, nudge) for m in states]
+    """Whether ``kernel``'s chaos function gives the Python loops' bytes and
+    states from every check state: ``n`` bytes with no burn-in, which pins
+    the byte loop, and 8 bytes after a full burn-in, which pins the burn-in,
+    its restart and where the bytes start."""
     return all(
-        kernel.take(m, n) == _take_reference(m, n)
-        and kernel.burn_in(m, steps, nudge) == burned[i]
-        and kernel.seed_pair(m, states[i - 1], steps, nudge, k) == (_take_reference(burned[i], k)[0], burned[i - 1])
-        for i, m in enumerate(states)
+        kernel.chaos(m, steps, _PERTURBATION, k) == _chaos_reference(m, steps, _PERTURBATION, k)
+        for m in _KERNEL_CHECK_STATES
+        for steps, k in ((0, n), (_BURN_IN_STEPS, 8))
     )
 
 
@@ -185,17 +174,10 @@ def seed_from_key1(key1_prefix: bytes, domain_tag: int) -> ChaoticState:
     The returned state has its iteration counter at zero: it measures
     generation work, not seeding work.
     """
-    m = _seed_value(key1_prefix, domain_tag)
-    kernel = _native.kernel()
-    burn_in = kernel.burn_in if kernel is not None else _burn_in_reference
-    return ChaoticState(burn_in(m, _BURN_IN_STEPS, _PERTURBATION), domain_tag=domain_tag)
+    return ChaoticState(stream(key1_prefix, domain_tag, 0)[1], domain_tag=domain_tag)
 
 
-def seed_pair(key1_prefix: bytes, first_tag: int, second_tag: int, n: int) -> tuple[bytes, int]:
-    """Two streams of one prefix, seeded in one kernel call: the first ``n``
-    bytes of ``seed_from_key1(key1_prefix, first_tag)``, and the ``m_raw``
-    of ``seed_from_key1(key1_prefix, second_tag)``."""
-    first, second = _seed_value(key1_prefix, first_tag), _seed_value(key1_prefix, second_tag)
-    kernel = _native.kernel()
-    seed = kernel.seed_pair if kernel is not None else _seed_pair_reference
-    return seed(first, second, _BURN_IN_STEPS, _PERTURBATION, n)
+def stream(key1_prefix: bytes, domain_tag: int, n: int) -> tuple[bytes, int]:
+    """The first ``n`` bytes of ``seed_from_key1(key1_prefix, domain_tag)``
+    and the ``m_raw`` after them, seeded and drawn in one call."""
+    return _chaos(_seed_value(key1_prefix, domain_tag), _BURN_IN_STEPS, n)

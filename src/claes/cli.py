@@ -242,7 +242,7 @@ def _cmd_bench(args) -> int:
     if args.reps < 3:
         print("claes bench: --reps must be at least 3", file=sys.stderr)
         return EXIT_USAGE
-    master = _master_key(args) if (args.key or args.key_file) else bench.DEFAULT_MASTER_KEY
+    master = _master_key(args) if (args.key is not None or args.key_file) else bench.DEFAULT_MASTER_KEY
     profiles = bench.default_profiles(args.reps)
     if args.sizes:
         profiles = tuple(

@@ -6,8 +6,9 @@ byte b to rotr1(rotl1(b) ^ l) = b ^ rotr1(l), so Key3 is Key2 XOR a fixed
 period-255 pad, and the final key, Key1 ^ Key2 ^ Key3, is Key1 ^ pad: Key2
 cancels out.  `derive_key_material` therefore computes the final key from
 Key1 and the pad alone, as one integer XOR, and Key2 and Key3 are built only
-when read.  It folds Key1 into seed material once and seeds the round-key
-and keystream streams from it in one call (`chaos.seed_pair`).
+when read.  It folds Key1 into seed material once and makes one chaos call
+per stream from it (`chaos.stream`): the 176 round-key bytes, then the
+keystream's seeded state.
 
 A message-length keystream is then produced by running the chaotic
 generator on, one byte of final key folded into each output byte; that call
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .chaos import ChaoticState, seed_from_key1, seed_pair
+from .chaos import ChaoticState, seed_from_key1, stream
 from .errors import EmptyKey, LengthMismatch, ZeroState
 from .keymatrix import Matrix3D, default_matrix, derive_key1, encode_byte
 
@@ -101,9 +102,10 @@ def derive_key2(seed: ChaoticState, key1: bytes) -> bytes:
     return bytes(out)
 
 
-def derive_key3(key2: bytes, lfsr_seed: int = DEFAULT_LFSR_SEED) -> bytes:
-    """Third key: rotate-left 1, XOR the LFSR byte, rotate-right 1."""
-    register = Lfsr8(lfsr_seed)
+def derive_key3(key2: bytes) -> bytes:
+    """Third key: rotate-left 1, XOR the LFSR byte, rotate-right 1, with the
+    LFSR started from `DEFAULT_LFSR_SEED`."""
+    register = Lfsr8(DEFAULT_LFSR_SEED)
     out = bytearray()
     for b in key2:
         lj, register = lfsr_next(register)
@@ -191,11 +193,8 @@ def derive_key_material(master_key: bytes, matrix: Matrix3D | None = None, round
     pad = _PAD if n <= 255 else _PAD * -(-n // 255)
     final_key = (int.from_bytes(key1, "little") ^ int.from_bytes(pad[:n], "little")).to_bytes(n, "little")
     prefix = fold_seed_prefix(key1)
-    if round_keys:
-        rk, state = seed_pair(prefix, DOMAIN_ROUND_KEYS, DOMAIN_KEYSTREAM, 176)
-    else:
-        rk, state = b"", seed_from_key1(prefix, DOMAIN_KEYSTREAM).m_raw
-    return KeyMaterial(key1, final_key, rk, state)
+    rk = stream(prefix, DOMAIN_ROUND_KEYS, 176)[0] if round_keys else b""
+    return KeyMaterial(key1, final_key, rk, stream(prefix, DOMAIN_KEYSTREAM, 0)[1])
 
 
 def keystream_seed(key1: bytes) -> ChaoticState:

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from claes import _native, chaos, vectors
-from claes.chaos import ChaoticState, _step_raw, seed_from_key1, seed_pair
+from claes.chaos import ChaoticState, _step_raw, seed_from_key1
 from claes.keyschedule import (
     DOMAIN_KEY2,
     DOMAIN_KEYSTREAM,
@@ -188,53 +188,27 @@ def test_burn_in_restarts_once_on_a_fixed_point(kernel):
     # the fixed point 0; burn-in then restarts from 2**39
     assert chaos._scramble64(0) % chaos._SEED_SPAN + 1 == 1
     assert _step_raw(1) == 0
-    expected = chaos._burn_in_reference(1 << 39, 100, 0)
-    for burn_in in (kernel.burn_in, chaos._burn_in_reference):
-        assert burn_in(1, 100, 1 << 39) == expected
-        assert burn_in(0, 100, 1 << 39) == expected
+    expected = chaos._chaos_reference(1 << 39, 100, 0, 0)[1]
+    for run in (kernel.chaos, chaos._chaos_reference):
+        assert run(1, 100, 1 << 39, 0)[1] == expected
+        assert run(0, 100, 1 << 39, 0)[1] == expected
         # a zero nudge lands on the fixed point again, and there is no second restart
-        assert burn_in(0, 100, 0) == 0
+        assert run(0, 100, 0, 0)[1] == 0
     assert seed_from_key1(bytes(9), 0).m_raw == expected == SEED_ZEROS_00
 
 
-def test_kernel_seed_pair_matches_the_references_from_every_check_state(kernel):
-    # state 1 steps to the fixed point 0 and takes the burn-in restart
-    states = chaos._KERNEL_CHECK_STATES
-    assert 1 in states
-    burned = {m: chaos._burn_in_reference(m, 100, 1 << 39) for m in states}
-    for first in states:
-        for second in states:
-            expected = (chaos._take_reference(burned[first], 176)[0], burned[second])
-            assert chaos._seed_pair_reference(first, second, 100, 1 << 39, 176) == expected
-            assert kernel.seed_pair(first, second, 100, 1 << 39, 176) == expected
-
-
-def _on_path(kernel, fn, *args):
-    saved = _native._kernel
-    _native._kernel = kernel
-    try:
-        return fn(*args)
-    finally:
-        _native._kernel = saved
-
-
 @given(
-    prefix=st.binary(max_size=9),
-    first=st.integers(0, 255),
-    second=st.integers(0, 255),
+    m=st.integers(0, (1 << 63) - 1),
+    steps=st.sampled_from([0, 1, 100]),
+    perturbation=st.sampled_from([0, 1 << 39]),
     n=st.integers(0, 300),
 )
-@settings(max_examples=60, deadline=None)
-@example(prefix=bytes(9), first=0, second=0, n=176)  # both take the burn-in restart
-@example(prefix=b"\x01\x02\x03", first=DOMAIN_ROUND_KEYS, second=DOMAIN_KEYSTREAM, n=176)
-def test_seed_pair_is_two_seeded_streams(kernel, prefix, first, second, n):
-    def separately():
-        return seed_from_key1(prefix, first).take(n), seed_from_key1(prefix, second).m_raw
-
-    expected = _on_path(None, separately)
-    assert _on_path(None, seed_pair, prefix, first, second, n) == expected
-    assert _on_path(kernel, seed_pair, prefix, first, second, n) == expected
-    assert _on_path(kernel, separately) == expected
+@settings(max_examples=150, deadline=None)
+@example(m=1, steps=100, perturbation=1 << 39, n=176)  # steps to the fixed point 0: the restart
+@example(m=0, steps=100, perturbation=1 << 39, n=176)  # the fixed point itself
+@example(m=0, steps=100, perturbation=0, n=8)  # restarts onto the fixed point, and stays
+def test_kernel_chaos_matches_the_reference(kernel, m, steps, perturbation, n):
+    assert kernel.chaos(m, steps, perturbation, n) == chaos._chaos_reference(m, steps, perturbation, n)
 
 
 def test_a_kernel_that_differs_is_not_used(tmp_path, monkeypatch):
@@ -267,7 +241,7 @@ def test_kernel_step_identity():
     for q in qs:
         assert 4 * q - (q + 9999) // 10000 == 39999 * q // 10000
     for m in chaos._KERNEL_CHECK_STATES:
-        assert _take_state(m, 64) == chaos._take_reference(m, 64)[1]
+        assert _take_state(m, 64) == chaos._chaos_reference(m, 0, 0, 64)[1]
 
 
 def test_kernel_check_states_meet_the_rounding_edge():

@@ -205,6 +205,12 @@ def test_bench_tiny_run_with_csv(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 4 * 2  # methods x sensors x sizes
 
 
+def test_bench_refuses_an_empty_key(capsys):
+    # an explicit empty key is the user's key, not a request for the default
+    assert main(["bench", "--key", "", "--reps", "3", "--sizes", "2,4"]) == EXIT_DATA
+    assert "EmptyKey" in capsys.readouterr().err
+
+
 def test_bench_reps_below_three_usage_error():
     assert main(["bench", "--reps", "2", "--sizes", "2"]) == EXIT_USAGE
 

@@ -123,11 +123,6 @@ def test_key3_never_equals_key2():
     assert all(a != b for a, b in zip(key2, key3))
 
 
-def test_key3_zero_lfsr_seed_rejected():
-    with pytest.raises(ZeroState):
-        derive_key3(b"\x00", lfsr_seed=0)
-
-
 def test_final_key_xor_identities():
     key1 = bytes.fromhex("0105")
     assert derive_final_key(key1, b"\xaa\xbb", b"\xaa\xbb") == key1

@@ -32,18 +32,10 @@ _WRONG_SOURCES = {
     # test_chaos.test_kernel_check_states_meet_the_rounding_edge
     "step-rounding-9998": ("(q + 9999)", "(q + 9998)", chaos),
     "step-rounding-10000": ("(q + 9999)", "(q + 10000)", chaos),
-    # the second stream burned in from the first stream's seed, and the
-    # first stream's bytes taken before its burn-in
-    "seed-pair-second-burn-in": (
-        "return claes_chaos_burn_in(second, steps, perturbation);",
-        "return claes_chaos_burn_in(first, steps, perturbation);",
-        chaos,
-    ),
-    "seed-pair-take-unburned": (
-        "claes_chaos_take(claes_chaos_burn_in(first, steps, perturbation), out, n);",
-        "claes_chaos_take(first, out, n);",
-        chaos,
-    ),
+    # the bytes drawn from the state before burn-in (seeding alone and
+    # drawing alone are still right), and no restart at a fixed point
+    "chaos-take-unburned": ("while (done < steps) {", "while (done < steps && !n) {", chaos),
+    "chaos-no-restart": ("if (successor == m && !restarted) {", "if (successor == m && restarted) {", chaos),
     "t-table-index": (
         "mixed_column(tables, s2, s3, s0, s1)",
         "mixed_column(tables, s2, s3, s1, s0)",
