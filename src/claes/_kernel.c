@@ -7,6 +7,11 @@
  * (see _native.py).  Every function must give exactly the bytes of the
  * Python reference; the loader checks each of them on every load and runs
  * the Python code instead on any difference.
+ *
+ * One calling convention: each function writes into an output buffer the
+ * caller owns and has sized (NULL when empty), a scalar constant is defined
+ * here, not passed, and a function that can fail returns the output size or
+ * SIZE_MAX.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -16,6 +21,7 @@
 /* --- logistic map ---------------------------------------------------------- */
 
 #define ONE (UINT64_C(1) << 63)
+#define PERTURBATION (UINT64_C(1) << 39) /* chaos._PERTURBATION */
 
 /* m' = 39999q // 10000 with q = (m * (2**63 - m)) >> 63, truncating.
  * floor(39999q / 10000) = 4q - ceil(q / 10000) exactly, and q <= 2**61, so
@@ -27,17 +33,17 @@ static inline uint64_t step(uint64_t m)
 }
 
 /* The one chaos entry point: `steps` steps of burn-in, restarted once from
- * m + perturbation (mod 2**63) should the orbit reach a fixed point, then n
+ * m + PERTURBATION (mod 2**63) should the orbit reach a fixed point, then n
  * bytes at 4 steps each.  Returns the final state.  seed_from_key1 runs it
  * with n = 0 and ChaoticState.take with steps = 0. */
-uint64_t claes_chaos(uint64_t m, unsigned steps, uint64_t perturbation, unsigned char *out, size_t n)
+uint64_t claes_chaos(uint64_t m, unsigned steps, unsigned char *out, size_t n)
 {
     int restarted = 0;
     unsigned done = 0;
     while (done < steps) {
         uint64_t successor = step(m);
         if (successor == m && !restarted) {
-            m = (m + perturbation) % ONE;
+            m = (m + PERTURBATION) % ONE;
             restarted = 1;
             done = 0;
             continue;
@@ -205,24 +211,23 @@ size_t claes_lz78_pack(const unsigned char *in, size_t n, unsigned char *out)
 
 /* lz78.unpack: decompress(decode_tokens(in[0..n)), limit).
  *
- * With out NULL, checks the whole stream and stores the output length in
- * *out_len; with out holding that many bytes, also writes the output.
- * Each dictionary entry is an (offset, length) piece of the output.
- * Returns 0, or -1 wherever the Python reference raises (a truncated or
- * malformed token, a terminal token that is not last, an index past the
- * dictionary, output past `limit`) and when scratch memory cannot be had. */
-int claes_lz78_unpack(const unsigned char *in, size_t n, uint64_t limit,
-                      unsigned char *out, uint64_t *out_len)
+ * With out NULL, checks the whole stream and returns the output size; with
+ * out holding that many bytes, also writes the output.  Entry k of the
+ * dictionary is the piece out[start[k] .. start[k + 1]) of the output, and
+ * start[entries] is the output size so far.  Returns SIZE_MAX wherever the
+ * Python reference raises (a truncated or malformed token, a terminal token
+ * that is not last, an index past the dictionary, output past `limit`) and
+ * when scratch memory cannot be had; the caller keeps `limit` below
+ * SIZE_MAX, so no output size is mistaken for a failure. */
+size_t claes_lz78_unpack(const unsigned char *in, size_t n, size_t limit, unsigned char *out)
 {
-    /* every token takes at least two bytes */
-    size_t cap = n / 2 + 1, entries = 1, pos = 0;
-    uint64_t *start = malloc(cap * sizeof *start);
-    uint64_t *len = malloc(cap * sizeof *len);
-    uint64_t total = 0;
-    int status = -1;
-    if (!start || !len)
-        goto done;
-    start[0] = len[0] = 0;
+    /* every token takes at least two bytes and adds one entry to the empty
+     * entry 0, and the sentinel takes one slot more */
+    size_t *start = malloc((n / 2 + 2) * sizeof *start);
+    size_t entries = 1, pos = 0, total = 0;
+    if (!start)
+        return SIZE_MAX;
+    start[0] = start[1] = 0;
     while (pos < n) {
         uint64_t index = 0;
         unsigned shift = 0;
@@ -230,7 +235,7 @@ int claes_lz78_unpack(const unsigned char *in, size_t n, uint64_t limit,
         unsigned char b;
         do {
             if (pos >= n)
-                goto done;
+                goto fail;
             b = in[pos++];
             /* an index of 2**35 or more is reported as an error; it is past
              * the dictionary of any stream shorter than 2**36 bytes, and
@@ -243,37 +248,33 @@ int claes_lz78_unpack(const unsigned char *in, size_t n, uint64_t limit,
             }
         } while (b & 0x80);
         if (pos >= n || too_big || index >= entries)
-            goto done;
+            goto fail;
         unsigned char flag = in[pos++];
-        uint64_t piece = len[index];
+        size_t from = start[index], copied = start[index + 1] - from, piece = copied;
         if (flag == 0x00) {
             if (pos != n)
-                goto done;
+                goto fail;
         } else if (flag == 0x01) {
             if (pos >= n)
-                goto done;
+                goto fail;
             piece++;
         } else {
-            goto done;
+            goto fail;
         }
         if (piece > limit - total)
-            goto done;
+            goto fail;
         if (out) {
-            memcpy(out + total, out + start[index], len[index]);
+            memcpy(out + total, out + from, copied);
             if (flag)
-                out[total + piece - 1] = in[pos];
+                out[total + copied] = in[pos];
         }
-        if (flag)
-            pos++;
-        start[entries] = total;
-        len[entries] = piece;
-        entries++;
+        pos += flag;
         total += piece;
+        start[++entries] = total;
     }
-    *out_len = total;
-    status = 0;
-done:
     free(start);
-    free(len);
-    return status;
+    return total;
+fail:
+    free(start);
+    return SIZE_MAX;
 }

@@ -15,6 +15,10 @@ Python reference (`kernel_matches_reference`).  When there is no compiler,
 the build fails, the cache directory cannot be written, the library does
 not load or any function gives other bytes, it returns None and callers run
 the Python code, which gives the same bytes more slowly.
+
+Every binding calls the kernel one way: Python sizes each output as a
+``bytearray`` that the C side writes into (`_out`), constants live in the C
+source, and a call that can fail returns the output size or ``SIZE_MAX``.
 """
 
 from __future__ import annotations
@@ -26,41 +30,36 @@ from pathlib import Path
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC")
-_UINT64_MAX = (1 << 64) - 1
 _SIZE_MAX = ctypes.c_size_t(-1).value
 
 
+def _out(buf: bytearray):
+    """``buf`` as an output argument: its first byte, or NULL when empty."""
+    return ctypes.c_ubyte.from_buffer(buf) if buf else None
+
+
+def _bind(function, restype, *argtypes):
+    function.restype, function.argtypes = restype, argtypes
+    return function
+
+
 class Kernel:
-    """ctypes bindings of the functions in ``_kernel.c``."""
+    """ctypes bindings of the functions in ``_kernel.c``.  Each output is a
+    ``bytearray`` the C side fills, returned as ``bytes``."""
 
     def __init__(self, lib: ctypes.CDLL):
-        self._lib = lib
-        self._chaos = lib.claes_chaos
-        self._chaos.argtypes = (ctypes.c_uint64, ctypes.c_uint, ctypes.c_uint64,
-                                ctypes.c_char_p, ctypes.c_size_t)
-        self._chaos.restype = ctypes.c_uint64
-        self._ctr_xor = lib.claes_ctr_xor
-        self._ctr_xor.argtypes = (ctypes.c_char_p,) * 6 + (ctypes.c_size_t, ctypes.c_char_p)
-        self._ctr_xor.restype = None
-        self._pack = lib.claes_lz78_pack
-        self._pack.argtypes = (ctypes.c_char_p, ctypes.c_size_t, ctypes.c_char_p)
-        self._pack.restype = ctypes.c_size_t
-        self._unpack = lib.claes_lz78_unpack
-        self._unpack.argtypes = (
-            ctypes.c_char_p,
-            ctypes.c_size_t,
-            ctypes.c_uint64,
-            ctypes.c_char_p,
-            ctypes.POINTER(ctypes.c_uint64),
-        )
-        self._unpack.restype = ctypes.c_int
+        out, size, data = ctypes.POINTER(ctypes.c_ubyte), ctypes.c_size_t, ctypes.c_char_p
+        self._chaos = _bind(lib.claes_chaos, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint, out, size)
+        self._ctr_xor = _bind(lib.claes_ctr_xor, None, *(data,) * 6, size, out)
+        self._pack = _bind(lib.claes_lz78_pack, size, data, size, out)
+        self._unpack = _bind(lib.claes_lz78_unpack, size, data, size, size, out)
 
-    def chaos(self, m: int, steps: int, perturbation: int, n: int) -> tuple[bytes, int]:
+    def chaos(self, m: int, steps: int, n: int) -> tuple[bytes, int]:
         """``n`` stream bytes from state ``m`` after ``steps`` steps of
         burn-in, and the state after them (see `chaos._chaos_reference`)."""
-        buf = ctypes.create_string_buffer(n)
-        m = self._chaos(m, steps, perturbation, buf, n)
-        return buf.raw, m
+        buf = bytearray(n)
+        m = self._chaos(m, steps, _out(buf), n)
+        return bytes(buf), m
 
     def ctr_xor(self, nonce: bytes, round_keys: bytes, tables: bytes, sbox: bytes,
                 a: bytes, b: bytes, n: int) -> bytes:
@@ -68,35 +67,34 @@ class Kernel:
         counter-mode stream of ``nonce`` under the 176 ``round_keys`` bytes,
         from the 4096-byte T-tables and the S-box, in one pass.  The caller
         checks every length."""
-        buf = ctypes.create_string_buffer(n)
-        self._ctr_xor(nonce, round_keys, tables, sbox, a, b, n, buf)
-        return buf.raw
+        buf = bytearray(n)
+        self._ctr_xor(nonce, round_keys, tables, sbox, a, b, n, _out(buf))
+        return bytes(buf)
 
     def pack(self, data: bytes) -> bytes | None:
         """``encode_tokens(compress(data))``; None when the kernel's memory
         cannot be had."""
         n = len(data)
         # at most n tokens, each a varint index below n and at most 2 bytes more
-        buf = ctypes.create_string_buffer(n * (max(1, -(-n.bit_length() // 7)) + 2))
-        size = self._pack(data, n, buf)
+        buf = bytearray(n * (max(1, -(-n.bit_length() // 7)) + 2))
+        size = self._pack(data, n, _out(buf))
         if size == _SIZE_MAX:
             return None
-        return ctypes.string_at(buf, size)
+        return bytes(memoryview(buf)[:size])
 
     def unpack(self, blob: bytes, max_output: int | None) -> bytes | None:
         """``decompress(decode_tokens(blob), max_output)`` for ``max_output``
         None or non-negative; None wherever the reference raises, and when
         the kernel's memory cannot be had."""
-        limit = _UINT64_MAX if max_output is None else min(max_output, _UINT64_MAX)
-        size = ctypes.c_uint64()
-        # the first call checks the stream and sizes the output; no claimed
-        # length is trusted
-        if self._unpack(blob, len(blob), limit, None, ctypes.byref(size)):
+        limit = _SIZE_MAX - 1 if max_output is None else min(max_output, _SIZE_MAX - 1)
+        # a sizing pass first: no length the input claims is trusted
+        size = self._unpack(blob, len(blob), limit, None)
+        if size == _SIZE_MAX:
             return None
-        buf = ctypes.create_string_buffer(size.value)
-        if self._unpack(blob, len(blob), limit, buf, ctypes.byref(size)):
+        buf = bytearray(size)
+        if self._unpack(blob, len(blob), limit, _out(buf)) == _SIZE_MAX:
             return None
-        return buf.raw
+        return bytes(buf)
 
 
 def library_path(source: bytes) -> Path | None:

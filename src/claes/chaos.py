@@ -12,11 +12,12 @@ i is carried as the exact rational 39999/10000 rather than a binary
 fraction, so the constant is represented without approximation.
 
 Seeding and drawing are one operation, burn in then take
-(`_chaos_reference`): `seed_from_key1` runs it with no bytes,
+(`_chaos_reference(m, steps, n)`): `seed_from_key1` runs it with no bytes,
 `ChaoticState.take` with no burn-in, and `stream` with both.  The Python
-loops are the reference; the same arithmetic runs compiled (``_kernel.c``,
-see `_native`) when that kernel can be built and gives the reference's
-bytes on known streams, and the Python loops run otherwise.
+loops are the reference; the same arithmetic runs compiled as
+``claes_chaos(m, steps, out, n)`` (``_kernel.c``, see `_native`), with the
+restart nudge `_PERTURBATION` a constant there too, when that kernel can be
+built and gives the reference's bytes on known streams.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ FRACTION_BITS = 63
 _ONE = 1 << FRACTION_BITS     # fixed-point 1.0
 _SEED_SPAN = _ONE - 2         # seeds land in [1, 2**63 - 2]
 _BURN_IN_STEPS = 100
-_PERTURBATION = 1 << 39       # nudge applied when a seed hits a fixed point
+_PERTURBATION = 1 << 39       # burn-in restart nudge; PERTURBATION in _kernel.c
 _TAG_SPREAD = 0x01010101_01010101  # replicates a tag byte across 8 bytes
 _MASK64 = (1 << 64) - 1
 
@@ -96,9 +97,9 @@ def _step_raw(m: int) -> int:
     return R_NUM * ((m * (_ONE - m)) >> 63) // R_DEN
 
 
-def _chaos_reference(m: int, steps: int, perturbation: int, n: int) -> tuple[bytes, int]:
+def _chaos_reference(m: int, steps: int, n: int) -> tuple[bytes, int]:
     """Burn in, then take, in Python: ``steps`` map steps from ``m``,
-    restarted once from ``m + perturbation`` should the orbit reach a fixed
+    restarted once from ``m + _PERTURBATION`` should the orbit reach a fixed
     point, then ``n`` bytes at 4 steps each.  Returns the bytes and the
     final state."""
     restarted = False
@@ -106,7 +107,7 @@ def _chaos_reference(m: int, steps: int, perturbation: int, n: int) -> tuple[byt
     while done < steps:
         successor = _step_raw(m)
         if successor == m and not restarted:
-            m = (m + perturbation) % _ONE
+            m = (m + _PERTURBATION) % _ONE
             restarted = True
             done = 0
             continue
@@ -123,11 +124,10 @@ def _chaos_reference(m: int, steps: int, perturbation: int, n: int) -> tuple[byt
 
 
 def _chaos(m: int, steps: int, n: int) -> tuple[bytes, int]:
-    """`_chaos_reference` with the seeding nudge, on the kernel when it is
-    in use."""
+    """`_chaos_reference`, on the kernel when it is in use."""
     kernel = _native.kernel()
     run = kernel.chaos if kernel is not None else _chaos_reference
-    return run(m, steps, _PERTURBATION, n)
+    return run(m, steps, n)
 
 
 # States the loaded kernel must reproduce before it is used: an ordinary
@@ -145,7 +145,7 @@ def kernel_matches_reference(kernel: _native.Kernel, n: int = 64) -> bool:
     the byte loop, and 8 bytes after a full burn-in, which pins the burn-in,
     its restart and where the bytes start."""
     return all(
-        kernel.chaos(m, steps, _PERTURBATION, k) == _chaos_reference(m, steps, _PERTURBATION, k)
+        kernel.chaos(m, steps, k) == _chaos_reference(m, steps, k)
         for m in _KERNEL_CHECK_STATES
         for steps, k in ((0, n), (_BURN_IN_STEPS, 8))
     )

@@ -57,8 +57,8 @@ def _sizes_arg(text: str) -> tuple[int, ...]:
         sizes = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad size list {text!r}") from None
-    if not sizes or any(s <= 0 for s in sizes):
-        raise argparse.ArgumentTypeError("sizes must be positive integers")
+    if len(set(sizes)) < 2 or min(sizes) <= 0:
+        raise argparse.ArgumentTypeError("sizes must be two or more distinct positive integers")
     return sizes
 
 

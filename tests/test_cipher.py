@@ -388,7 +388,7 @@ def test_standard_schedule_draws_no_chaos_round_keys(monkeypatch):
     monkeypatch.setattr(_native, "_kernel", None)
     taken = []
     reference = chaos._chaos_reference
-    monkeypatch.setattr(chaos, "_chaos_reference", lambda *args: taken.append(args[3]) or reference(*args))
+    monkeypatch.setattr(chaos, "_chaos_reference", lambda *args: taken.append(args[2]) or reference(*args))
     nonce = bytes(range(12))
     plaintext = bytes(range(40))
     env = cipher.Cipher(FIPS_KEY, standard_schedule=True).seal(nonce, plaintext, compress=False)

@@ -219,6 +219,13 @@ def test_bench_bad_sizes_usage_error():
     assert main(["bench", "--sizes", "2,zebra"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("sizes", ["2", "2,2"])
+def test_bench_needs_two_distinct_sizes(sizes, capsys):
+    # the least-squares fit of time against size needs two distinct sizes
+    assert main(["bench", "--reps", "3", "--sizes", sizes]) == EXIT_USAGE
+    assert "two or more distinct" in capsys.readouterr().err
+
+
 def test_encrypt_with_custom_matrix(tmp_path):
     cfg = tmp_path / "matrix.cfg"
     # byte 0x00 appears in the master key, so the absent-byte rule changes key1

@@ -2,6 +2,7 @@
 refused, nothing needs numpy, and a process with no compiler gives the same
 bytes."""
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -36,6 +37,7 @@ _WRONG_SOURCES = {
     # drawing alone are still right), and no restart at a fixed point
     "chaos-take-unburned": ("while (done < steps) {", "while (done < steps && !n) {", chaos),
     "chaos-no-restart": ("if (successor == m && !restarted) {", "if (successor == m && restarted) {", chaos),
+    "chaos-restart-nudge": ("<< 39", "<< 38", chaos),
     "t-table-index": (
         "mixed_column(tables, s2, s3, s0, s1)",
         "mixed_column(tables, s2, s3, s1, s0)",
@@ -49,6 +51,12 @@ _WRONG_SOURCES = {
     "pack-varint-shift": ("v >>= 7;", "v >>= 6;", lz78),
     "unpack-varint-shift": ("shift += 7;", "shift += 6;", lz78),
     "unpack-limit": ("if (piece > limit - total)", "if (piece > limit - total + 1)", lz78),
+    # an error reported as the output size reached before it
+    "unpack-failure-return": (
+        "fail:\n    free(start);\n    return SIZE_MAX;",
+        "fail:\n    free(start);\n    return total;",
+        lz78,
+    ),
 }
 
 
@@ -70,6 +78,27 @@ def test_a_kernel_built_from_a_wrong_source_is_refused(tmp_path, monkeypatch, mu
     monkeypatch.setattr(_native, "_kernel", _native._UNLOADED)
     assert _native.kernel() is None
     _envelopes_hold()
+
+
+def test_the_kernel_path_makes_no_ctypes_buffer_type(kernel, monkeypatch):
+    # create_string_buffer makes a new ctypes array type for each length
+    # not in use; every output is a bytearray instead
+    master = bytes(range(16))
+    nonce = bytes(range(12))
+    messages = [((b"reading %d;" % n) * n)[:n] for n in (0, 1, 17, 300, 5000)]
+    monkeypatch.setattr(_native, "_kernel", None)
+    expected = [encrypt_message(master, nonce, m, c).encode() for m in messages for c in (False, True)]
+    cipher.clear_key_cache()
+    monkeypatch.setattr(_native, "_kernel", kernel)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ctypes.create_string_buffer called")
+
+    monkeypatch.setattr(ctypes, "create_string_buffer", refuse)
+    sealed = [encrypt_message(master, nonce, m, c).encode() for m in messages for c in (False, True)]
+    assert sealed == expected
+    opened = [decrypt_message(Envelope.decode(blob), master) for blob in sealed]
+    assert opened == [m for m in messages for _ in (False, True)]
 
 
 def _run(script, **env):
