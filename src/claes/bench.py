@@ -57,16 +57,15 @@ REFERENCE_MS = {
 class WorkloadProfile:
     sensor: Sensor
     sizes_kb: tuple[int, ...]
-    repetitions: int = 10
 
 
-def default_profiles(repetitions: int = 10) -> tuple[WorkloadProfile, ...]:
+def default_profiles() -> tuple[WorkloadProfile, ...]:
     """Low-rate sensors get the small ladder, streaming sensors the large one."""
     return (
-        WorkloadProfile(Sensor.SMOKE_DETECTOR, SMALL_SIZES_KB, repetitions),
-        WorkloadProfile(Sensor.SMART_LIGHT, SMALL_SIZES_KB, repetitions),
-        WorkloadProfile(Sensor.IP_CAMERA, LARGE_SIZES_KB, repetitions),
-        WorkloadProfile(Sensor.IP_TV, LARGE_SIZES_KB, repetitions),
+        WorkloadProfile(Sensor.SMOKE_DETECTOR, SMALL_SIZES_KB),
+        WorkloadProfile(Sensor.SMART_LIGHT, SMALL_SIZES_KB),
+        WorkloadProfile(Sensor.IP_CAMERA, LARGE_SIZES_KB),
+        WorkloadProfile(Sensor.IP_TV, LARGE_SIZES_KB),
     )
 
 
@@ -99,10 +98,12 @@ def run_bench(
     profiles,
     methods,
     master_key: bytes,
+    repetitions: int = 10,
     unit: str = "kilobit",
     matrix: Matrix3D | None = None,
 ) -> list[BenchRecord]:
-    """Median-of-repetitions timing of the keystream call per (method, sensor, size).
+    """Median of ``repetitions`` timings of the keystream call per (method,
+    sensor, size).
 
     Only the payload length enters the timed call.  Timed regions run
     sequentially on the calling thread.  Repetitions go round-robin over
@@ -115,9 +116,8 @@ def run_bench(
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
-    for profile in profiles:
-        if profile.repetitions < 3:
-            raise ValueError("medians need at least 3 repetitions")
+    if repetitions < 3:
+        raise ValueError("medians need at least 3 repetitions")
     cells = [
         (method, profile, size_kb)
         for method in methods
@@ -128,10 +128,8 @@ def run_bench(
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for rep in range(-1, max((p.repetitions for p in profiles), default=0)):
+        for rep in range(-1, repetitions):
             for (method, profile, size_kb), times in zip(cells, times_ms):
-                if rep >= profile.repetitions:
-                    continue
                 n = payload_byte_count(size_kb, unit)
                 if method == METHOD_PROPOSED:
                     seed = keystream_seed(km.key1)

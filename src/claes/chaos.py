@@ -54,32 +54,22 @@ def _scramble64(z: int) -> int:
 
 
 class ChaoticState:
-    """Iterator state of the chaotic generator.
-
-    ``m_raw`` holds the Q0.63 value (M = m_raw / 2**63), ``iterations``
-    counts map steps taken since seeding, and ``domain_tag`` labels the
-    stream so several independent streams can be derived from one key.
+    """Iterator state of the chaotic generator: ``m_raw`` holds the Q0.63
+    value (M = m_raw / 2**63).
 
     Distinct instances are safe to use from different threads; a single
     instance must not be advanced concurrently.
     """
 
-    __slots__ = ("m_raw", "domain_tag", "iterations")
+    __slots__ = ("m_raw",)
 
-    def __init__(self, m_raw: int, domain_tag: int = 0, iterations: int = 0):
+    def __init__(self, m_raw: int):
         if not 0 <= m_raw < _ONE:
             raise ValueError("m_raw must be a Q0.63 fraction in [0, 2**63)")
-        if not 0 <= domain_tag <= 0xFF:
-            raise ValueError("domain_tag must be a single byte")
         self.m_raw = m_raw
-        self.domain_tag = domain_tag
-        self.iterations = iterations
 
     def __repr__(self) -> str:
-        return (
-            f"ChaoticState(m_raw={self.m_raw:#018x},"
-            f" domain_tag={self.domain_tag:#04x}, iterations={self.iterations})"
-        )
+        return f"ChaoticState(m_raw={self.m_raw:#018x})"
 
     def take(self, n: int) -> bytes:
         """Produce ``n`` bytes, advancing this state by exactly 4 steps per byte.
@@ -89,7 +79,6 @@ class ChaoticState:
         arcsine-shaped invariant density crowds the high bits toward 0 and 1.
         """
         out, self.m_raw = _chaos(self.m_raw, 0, n)
-        self.iterations += 4 * n
         return out
 
 
@@ -151,33 +140,29 @@ def kernel_matches_reference(kernel: _native.Kernel, n: int = 64) -> bool:
     )
 
 
-def _seed_value(key1_prefix: bytes, domain_tag: int) -> int:
-    """The state a stream's burn-in starts from (see `seed_from_key1`)."""
+def seed_from_key1(key1_prefix: bytes, domain_tag: int) -> ChaoticState:
+    """Seed a stream from up to 9 index bytes of the first key: the prefix,
+    right-padded with zeros, read as a big-endian 72-bit integer, seeds
+    `stream`."""
     if len(key1_prefix) > 9:
         raise ValueError("seed material is at most 9 bytes; fold longer keys first")
     if not 0 <= domain_tag <= 0xFF:
         raise ValueError("domain_tag must be a single byte")
-    u = int.from_bytes(bytes(key1_prefix).ljust(9, b"\x00"), "big") ^ (domain_tag * _TAG_SPREAD)
-    return _scramble64((u & _MASK64) ^ (u >> 64)) % _SEED_SPAN + 1
+    prefix = int.from_bytes(key1_prefix, "big") << 8 * (9 - len(key1_prefix))
+    return ChaoticState(stream(prefix, domain_tag, 0)[1])
 
 
-def seed_from_key1(key1_prefix: bytes, domain_tag: int) -> ChaoticState:
-    """Seed a stream from up to 9 index bytes of the first key.
+def stream(prefix: int, domain_tag: int, n: int) -> tuple[bytes, int]:
+    """Seed a stream from the 72-bit ``prefix`` and a one-byte
+    ``domain_tag``, and draw its first ``n`` bytes; returns them and the
+    ``m_raw`` after them.
 
-    The prefix (right-padded with zeros if shorter than 9 bytes) is read as
-    a big-endian 72-bit integer, XORed with the domain tag replicated across
-    its low 8 bytes, scrambled, and reduced to an m_raw in (0, 2**63 - 1).
-    100 burn-in steps then decorrelate the orbit from the raw seed.  Should
-    the orbit land on a fixed point during burn-in (0 and 1 - 1/i are both
-    fixed), the seed is nudged by 2**39 and burn-in restarts, once.
-
-    The returned state has its iteration counter at zero: it measures
-    generation work, not seeding work.
+    The tag, replicated across the prefix's low 8 bytes, is XORed in, the
+    72 bits are folded to 64 by XORing the top byte into the bottom one,
+    scrambled, and reduced to an m_raw in (0, 2**63 - 1).  100 burn-in steps
+    then decorrelate the orbit from the raw seed.  Should the orbit land on
+    a fixed point during burn-in (0 and 1 - 1/i are both fixed), the seed is
+    nudged by 2**39 and burn-in restarts, once.
     """
-    return ChaoticState(stream(key1_prefix, domain_tag, 0)[1], domain_tag=domain_tag)
-
-
-def stream(key1_prefix: bytes, domain_tag: int, n: int) -> tuple[bytes, int]:
-    """The first ``n`` bytes of ``seed_from_key1(key1_prefix, domain_tag)``
-    and the ``m_raw`` after them, seeded and drawn in one call."""
-    return _chaos(_seed_value(key1_prefix, domain_tag), _BURN_IN_STEPS, n)
+    u = prefix ^ domain_tag * _TAG_SPREAD
+    return _chaos(_scramble64((u & _MASK64) ^ (u >> 64)) % _SEED_SPAN + 1, _BURN_IN_STEPS, n)

@@ -3,7 +3,8 @@ mode around it, and the full message pipeline with a binary envelope.
 
 The block core is the standard round structure (SubBytes, ShiftRows,
 MixColumns, AddRoundKey) with the published S-box; what varies is where the
-round keys come from.  Round keys are a tuple of eleven 16-byte blocks.
+round keys come from.  Round keys are 176 bytes: eleven 16-byte blocks end
+to end.
 Normal operation feeds the core chaos-derived round keys;
 `rijndael_round_keys` provides the classic expansion so the core can be
 checked against standard vectors and driven in a compatibility mode.
@@ -44,7 +45,7 @@ from .errors import (
     UnknownFlags,
 )
 from .keymatrix import Matrix3D
-from .keyschedule import DOMAIN_KEYSTREAM, derive_key_material, generate_keystream
+from .keyschedule import derive_key_material, generate_keystream
 
 SBOX = (
     0x63, 0x7C, 0x77, 0x7B, 0xF2, 0x6B, 0x6F, 0xC5, 0x30, 0x01, 0x67, 0x2B, 0xFE, 0xD7, 0xAB, 0x76,
@@ -76,7 +77,7 @@ SHIFT = tuple((i % 4) + 4 * (((i // 4) + (i % 4)) % 4) for i in range(16))
 RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 
 
-def rijndael_round_keys(key: bytes) -> tuple[bytes, ...]:
+def rijndael_round_keys(key: bytes) -> bytes:
     """Classic AES-128 key expansion; the compatibility/test schedule."""
     if len(key) != 16:
         raise LengthMismatch(f"AES-128 key must be 16 bytes, got {len(key)}")
@@ -91,8 +92,7 @@ def rijndael_round_keys(key: bytes) -> tuple[bytes, ...]:
                 SBOX[t[0]],
             ]
         words.append([a ^ b for a, b in zip(words[i - 4], t)])
-    flat = bytes(b for w in words for b in w)
-    return tuple(flat[i * 16:(i + 1) * 16] for i in range(11))
+    return bytes(b for w in words for b in w)
 
 
 # --- block core and counter mode ---------------------------------------------
@@ -147,17 +147,17 @@ _COLUMNS = tuple((_xtime(s), s, s, _xtime(s) ^ s) for s in SBOX)
 _T_TABLES = bytes(b for r in range(4) for col in _COLUMNS for b in col[4 - r:] + col[:4 - r])
 
 
-def _round_key_bytes(round_keys: tuple[bytes, ...]) -> bytes:
-    if len(round_keys) != 11 or any(len(k) != 16 for k in round_keys):
-        raise LengthMismatch("round keys must be 11 blocks of 16 bytes")
-    return b"".join(round_keys)
+def _check_round_keys(round_keys: bytes) -> None:
+    if len(round_keys) != 176:
+        raise LengthMismatch(f"round keys must be 176 bytes, got {len(round_keys)}")
 
 
-def block_encrypt(block: bytes, round_keys: tuple[bytes, ...]) -> bytes:
-    """One AES-128 block with the supplied round keys used verbatim."""
+def block_encrypt(block: bytes, round_keys: bytes) -> bytes:
+    """One AES-128 block with the 176 supplied round-key bytes used verbatim."""
     if len(block) != 16:
         raise ValueError("block must be 16 bytes")
-    return _encrypt_blocks(bytes(block), _round_key_bytes(round_keys))
+    _check_round_keys(round_keys)
+    return _encrypt_blocks(bytes(block), bytes(round_keys))
 
 
 # counters are 32-bit, so one nonce covers at most this many blocks
@@ -205,8 +205,7 @@ def _ctr_xor(nonce: bytes, round_keys: bytes, a: bytes, b: bytes, n: int) -> byt
             f"{-(-n // 16)} blocks exceed the {MAX_CTR_BLOCKS} a 32-bit counter can number"
         )
     _check_nonce(nonce)
-    if len(round_keys) != 176:
-        raise LengthMismatch(f"round keys must be 176 bytes, got {len(round_keys)}")
+    _check_round_keys(round_keys)
     if len(a) < n or len(b) < n:
         raise LengthMismatch(f"cannot XOR {n} bytes of {len(a)} and {len(b)}")
     kernel = _native.kernel()
@@ -324,11 +323,8 @@ class Cipher:
     """
 
     def __init__(self, master_key: bytes, matrix: Matrix3D | None = None, standard_schedule: bool = False):
-        km = derive_key_material(master_key, matrix, round_keys=not standard_schedule)
-        if standard_schedule:
-            self._round_keys = _round_key_bytes(rijndael_round_keys(bytes(master_key)))
-        else:
-            self._round_keys = km.round_key_bytes
+        km = derive_key_material(master_key, matrix)
+        self._round_keys = rijndael_round_keys(bytes(master_key)) if standard_schedule else km.round_keys
         self._final_key = km.final_key
         # (keystream bytes drawn so far, Q0.63 chaos state after them)
         self._drawn = (b"", km.keystream_state)
@@ -345,7 +341,7 @@ class Cipher:
         drawn, m_raw = self._drawn
         if n <= len(drawn):
             return drawn
-        state = ChaoticState(m_raw, DOMAIN_KEYSTREAM)
+        state = ChaoticState(m_raw)
         keep = min(n, _CACHE_BYTES)
         if keep > len(drawn):
             drawn += self._draw(state, len(drawn), keep - len(drawn))

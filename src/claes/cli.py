@@ -243,13 +243,11 @@ def _cmd_bench(args) -> int:
         print("claes bench: --reps must be at least 3", file=sys.stderr)
         return EXIT_USAGE
     master = _master_key(args) if (args.key is not None or args.key_file) else bench.DEFAULT_MASTER_KEY
-    profiles = bench.default_profiles(args.reps)
+    profiles = bench.default_profiles()
     if args.sizes:
-        profiles = tuple(
-            bench.WorkloadProfile(p.sensor, args.sizes, args.reps) for p in profiles
-        )
+        profiles = tuple(bench.WorkloadProfile(p.sensor, args.sizes) for p in profiles)
     print(f"kernel: {kernel_path()}")
-    records = bench.run_bench(profiles, bench.METHODS, master, unit=args.unit, matrix=_matrix(args))
+    records = bench.run_bench(profiles, bench.METHODS, master, args.reps, unit=args.unit, matrix=_matrix(args))
     print(bench.emit_table(records))
     print()
     for method in bench.METHODS:

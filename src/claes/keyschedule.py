@@ -6,7 +6,7 @@ byte b to rotr1(rotl1(b) ^ l) = b ^ rotr1(l), so Key3 is Key2 XOR a fixed
 period-255 pad, and the final key, Key1 ^ Key2 ^ Key3, is Key1 ^ pad: Key2
 cancels out.  `derive_key_material` therefore computes the final key from
 Key1 and the pad alone, as one integer XOR, and Key2 and Key3 are built only
-when read.  It folds Key1 into seed material once and makes one chaos call
+when read.  It folds Key1 into a 72-bit seed once and makes one chaos call
 per stream from it (`chaos.stream`): the 176 round-key bytes, then the
 keystream's seeded state.
 
@@ -73,29 +73,31 @@ def lfsr_next(l: Lfsr8) -> tuple[int, Lfsr8]:
     return s, Lfsr8(s)
 
 
-def fold_seed_prefix(key1: bytes) -> bytes:
-    """Compress Key1 into the 9 bytes of chaos seed material.
-
-    Key1 is XOR-folded with stride 9, so every master-key byte reaches the
-    seed.  For keys of at most 9 bytes this is exactly the zero-padded
-    prefix; taking only the literal first 9 bytes would leave the chaos
-    streams blind to later master-key bytes and destroy key avalanche.
-    The fold is the XOR of Key1's 9-byte pieces read as big-endian
-    integers, the last piece zero-padded.
-    """
-    key1 = bytes(key1)
-    key1 += bytes(-len(key1) % 9)
+def _fold(key1: bytes) -> int:
+    """The XOR of Key1's 9-byte pieces read as big-endian integers, the last
+    piece zero-padded: the 72-bit seed of every chaos stream of the key."""
+    key1 = bytes(key1) + bytes(-len(key1) % 9)
     prefix = 0
     for i in range(0, len(key1), 9):
         prefix ^= int.from_bytes(key1[i:i + 9], "big")
-    return prefix.to_bytes(9, "big")
+    return prefix
+
+
+def fold_seed_prefix(key1: bytes) -> bytes:
+    """Compress Key1 into the 9 bytes of chaos seed material.
+
+    Key1 is XOR-folded with stride 9 (`_fold`), so every master-key byte
+    reaches the seed.  For keys of at most 9 bytes this is exactly the
+    zero-padded prefix; taking only the literal first 9 bytes would leave
+    the chaos streams blind to later master-key bytes and destroy key
+    avalanche.
+    """
+    return _fold(key1).to_bytes(9, "big")
 
 
 def derive_key2(seed: ChaoticState, key1: bytes) -> bytes:
     """Second key: 16 chaotic iterations per byte, XORed onto Key1.
-
-    Advances ``seed``; pass a copy to keep the original.
-    """
+    Advances ``seed``."""
     out = bytearray()
     for b in key1:
         out.append(seed.take(KEY2_CYCLES)[-1] ^ b)
@@ -125,24 +127,17 @@ def generate_keystream(seed: ChaoticState, final_key: bytes, n: int) -> bytes:
     """Message-length keystream: chaos byte XOR cycled final-key byte.
 
     Cost is linear in ``n`` (4 map steps per byte); this is the call the
-    benchmark times.  Advances ``seed``, so its iteration counter reflects
-    the work done.
+    benchmark times.  Advances ``seed``.
     """
     raw = seed.take(n)
     pad = (final_key * -(-n // len(final_key)))[:n]
     return (int.from_bytes(raw, "little") ^ int.from_bytes(pad, "little")).to_bytes(n, "little")
 
 
-def _split_round_keys(raw: bytes) -> tuple[bytes, ...]:
-    return tuple(raw[i:i + 16] for i in range(0, len(raw), 16))
-
-
-def derive_round_keys(seed: ChaoticState) -> tuple[bytes, ...]:
-    """176 chaotic bytes partitioned into eleven 16-byte round keys.
-
-    Advances ``seed``.
-    """
-    return _split_round_keys(seed.take(176))
+def derive_round_keys(seed: ChaoticState) -> bytes:
+    """176 chaotic bytes: eleven 16-byte round keys end to end.  Advances
+    ``seed``."""
+    return seed.take(176)
 
 
 # Matrix3D is immutable, so the default cube is built and checked once
@@ -157,22 +152,17 @@ _PAD = derive_key3(bytes(255))
 class KeyMaterial:
     """Everything derived from one master key, immutable once built.
 
-    ``round_key_bytes`` holds the 176 chaos round-key bytes, empty when
-    they were not asked for, and ``keystream_state`` the Q0.63 state the
-    whitening keystream starts from, ``keystream_seed(key1).m_raw``.
-    Key2 and Key3 do not reach the final key (see the module docstring);
-    they, and the round keys as eleven blocks, are derived on first access
+    ``round_keys`` holds the 176 chaos round-key bytes and
+    ``keystream_state`` the Q0.63 state the whitening keystream starts
+    from, ``keystream_seed(key1).m_raw``.  Key2 and Key3 do not reach the
+    final key (see the module docstring); they are derived on first access
     and then cached.
     """
 
     key1: bytes
     final_key: bytes
-    round_key_bytes: bytes
+    round_keys: bytes
     keystream_state: int
-
-    @cached_property
-    def round_keys(self) -> tuple[bytes, ...]:
-        return _split_round_keys(self.round_key_bytes)
 
     @cached_property
     def key2(self) -> bytes:
@@ -183,18 +173,18 @@ class KeyMaterial:
         return derive_key3(self.key2)
 
 
-def derive_key_material(master_key: bytes, matrix: Matrix3D | None = None, round_keys: bool = True) -> KeyMaterial:
-    """Run the derivation chain for one master key.  ``round_keys=False``
-    skips the chaos round keys, for a caller that replaces them."""
+def derive_key_material(master_key: bytes, matrix: Matrix3D | None = None) -> KeyMaterial:
+    """Run the derivation chain for one master key."""
     if not master_key:
         raise EmptyKey("master key must not be empty")
     key1 = derive_key1(matrix if matrix is not None else _DEFAULT_MATRIX, master_key)
     n = len(key1)
     pad = _PAD if n <= 255 else _PAD * -(-n // 255)
     final_key = (int.from_bytes(key1, "little") ^ int.from_bytes(pad[:n], "little")).to_bytes(n, "little")
-    prefix = fold_seed_prefix(key1)
-    rk = stream(prefix, DOMAIN_ROUND_KEYS, 176)[0] if round_keys else b""
-    return KeyMaterial(key1, final_key, rk, stream(prefix, DOMAIN_KEYSTREAM, 0)[1])
+    prefix = _fold(key1)
+    return KeyMaterial(
+        key1, final_key, stream(prefix, DOMAIN_ROUND_KEYS, 176)[0], stream(prefix, DOMAIN_KEYSTREAM, 0)[1]
+    )
 
 
 def keystream_seed(key1: bytes) -> ChaoticState:

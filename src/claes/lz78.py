@@ -91,6 +91,10 @@ def decompress(tokens, max_output: int | None = None) -> bytes:
     return out.getvalue()
 
 
+# an index takes at most 9 varint bytes, so it is below 2**63
+_MAX_INDEX = (1 << 63) - 1
+
+
 def encode_tokens(tokens) -> bytes:
     """Serialize tokens: base-128 varint index, then 0x01+symbol or 0x00 (terminal)."""
     out = bytearray()
@@ -98,6 +102,8 @@ def encode_tokens(tokens) -> bytes:
     for t, (index, symbol) in enumerate(tokens):
         if symbol is None and t != last:
             raise MisplacedTerminal(f"symbol-less token at position {t} is not last")
+        if not 0 <= index <= _MAX_INDEX:
+            raise BadIndex(f"token {t} has index {index}, outside 0..2**63 - 1")
         v = index
         while v >= 0x80:
             out.append((v & 0x7F) | 0x80)
@@ -112,7 +118,9 @@ def encode_tokens(tokens) -> bytes:
 
 
 def decode_tokens(data: bytes) -> list[Token]:
-    """Exact inverse of :func:`encode_tokens`; rejects malformed input."""
+    """Exact inverse of :func:`encode_tokens`; rejects malformed input,
+    including a varint of more than 9 bytes, so each index costs bounded
+    time."""
     out: list[Token] = []
     pos = 0
     end = len(data)
@@ -125,9 +133,11 @@ def decode_tokens(data: bytes) -> list[Token]:
             b = data[pos]
             pos += 1
             index |= (b & 0x7F) << shift
-            shift += 7
             if not b & 0x80:
                 break
+            shift += 7
+            if shift == 63:
+                raise BadIndex(f"varint at byte {pos - 9} runs past 9 bytes")
         if pos >= end:
             raise Truncated("token flag missing")
         flag = data[pos]

@@ -130,7 +130,7 @@ def round_keys(master):
     k1 = key1_of(master)
     m = logistic_seed(fold_prefix(k1), 0xA5)
     raw, _ = logistic_stream(m, 176)
-    return [raw[i * 16:(i + 1) * 16] for i in range(11)]
+    return raw
 
 
 def baseline_stream(key1, n):
@@ -194,8 +194,7 @@ def expand_key(key):
             t[0] ^= rcon
             rcon = gf_mul(rcon, 2)
         words.append([a ^ b for a, b in zip(words[i - 4], t)])
-    flat = [b for w in words for b in w]
-    return [bytes(flat[16 * i:16 * (i + 1)]) for i in range(11)]
+    return bytes(b for w in words for b in w)
 
 
 def _to_state(block):
@@ -207,6 +206,7 @@ def _from_state(st):
 
 
 def aes_encrypt(block, rkeys):
+    # rkeys: the 176 round-key bytes, eleven 16-byte keys end to end
     st = _to_state(block)
 
     def addk(k):
@@ -214,7 +214,7 @@ def aes_encrypt(block, rkeys):
             for c in range(4):
                 st[r][c] ^= k[r + 4 * c]
 
-    addk(rkeys[0])
+    addk(rkeys[:16])
     for rnd in range(1, 11):
         for r in range(4):
             for c in range(4):
@@ -228,7 +228,7 @@ def aes_encrypt(block, rkeys):
                 st[1][c] = col[0] ^ gf_mul(2, col[1]) ^ gf_mul(3, col[2]) ^ col[3]
                 st[2][c] = col[0] ^ col[1] ^ gf_mul(2, col[2]) ^ gf_mul(3, col[3])
                 st[3][c] = gf_mul(3, col[0]) ^ col[1] ^ col[2] ^ gf_mul(2, col[3])
-        addk(rkeys[rnd])
+        addk(rkeys[16 * rnd:16 * rnd + 16])
     return _from_state(st)
 
 

@@ -204,7 +204,7 @@ def test_criterion_5_chaos_stream_quality():
 
 def test_criterion_6_timing_trend():
     started = time.perf_counter()
-    records = run_bench(default_profiles(repetitions=10), METHODS, bytes(range(16)))
+    records = run_bench(default_profiles(), METHODS, bytes(range(16)), repetitions=10)
     problems = check_trends(records)
     fits = {
         method: fit_linear([r for r in records if r.method == method]) for method in METHODS
@@ -240,7 +240,7 @@ def test_criterion_7_golden_vectors():
             "final_key": km.final_key[:64].hex(),
             "final_key_tail": km.final_key[255:].hex(),
             "keystream64": generate_keystream(keystream_seed(km.key1), km.final_key, 64).hex(),
-            "round_keys64": b"".join(km.round_keys)[:64].hex(),
+            "round_keys64": km.round_keys[:64].hex(),
         }
         for field, got in checks.items():
             if got != entry[field]:

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import pytest
@@ -29,10 +30,10 @@ import oracles
 REFERENCE_PROPOSED_FIT = (1.0490422914137112, 215.4739383838596, 0.9810416540499571)
 
 
-def _tiny_profiles(reps=3):
+def _tiny_profiles():
     return (
-        WorkloadProfile(Sensor.SMOKE_DETECTOR, (2, 5), reps),
-        WorkloadProfile(Sensor.IP_CAMERA, (8,), reps),
+        WorkloadProfile(Sensor.SMOKE_DETECTOR, (2, 5)),
+        WorkloadProfile(Sensor.IP_CAMERA, (8,)),
     )
 
 
@@ -43,7 +44,8 @@ def test_default_profiles_cover_both_ladders():
     assert by_sensor[Sensor.SMART_LIGHT] == SMALL_SIZES_KB
     assert by_sensor[Sensor.IP_CAMERA] == LARGE_SIZES_KB
     assert by_sensor[Sensor.IP_TV] == LARGE_SIZES_KB
-    assert all(p.repetitions == 10 for p in profiles)
+    # every profile gets run_bench's repetitions, 10 unless asked otherwise
+    assert inspect.signature(run_bench).parameters["repetitions"].default == 10
 
 
 def test_payload_byte_count_units():
@@ -55,7 +57,7 @@ def test_payload_byte_count_units():
 
 
 def test_run_bench_record_shape():
-    records = run_bench(_tiny_profiles(), METHODS, b"bench key")
+    records = run_bench(_tiny_profiles(), METHODS, b"bench key", repetitions=3)
     assert len(records) == len(METHODS) * 3
     for record in records:
         assert record.method in METHODS
@@ -65,7 +67,7 @@ def test_run_bench_record_shape():
 
 def test_run_bench_requires_three_repetitions():
     with pytest.raises(ValueError):
-        run_bench((WorkloadProfile(Sensor.IP_TV, (2,), 2),), METHODS, b"k")
+        run_bench((WorkloadProfile(Sensor.IP_TV, (2,)),), METHODS, b"k", repetitions=2)
 
 
 def test_run_bench_rejects_unknown_method():
@@ -161,13 +163,17 @@ def test_work_scales_exactly_with_byte_count(monkeypatch):
         generate_keystream,
         keystream_seed,
     )
+    from claes.chaos import _step_raw
     import claes.keyschedule as ks
 
     km = derive_key_material(b"work counter")
     for n in (100, 200):
         seed = keystream_seed(km.key1)
+        m = seed.m_raw
         generate_keystream(seed, km.final_key, n)
-        assert seed.iterations == 4 * n
+        for _ in range(4 * n):
+            m = _step_raw(m)
+        assert seed.m_raw == m
 
     calls = 0
     real = ks.encode_byte

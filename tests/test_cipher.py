@@ -42,18 +42,13 @@ ZERO_KEY_EXPANSION_RK1 = bytes.fromhex("62636363626363636263636362636363")
 ZERO_KEY_EXPANSION_RK10 = bytes.fromhex("b4ef5bcb3e92e21123e951cf6f8f188e")
 
 
-def _random_round_keys(rng):
-    flat = rng.randbytes(176)
-    return tuple(flat[i * 16:(i + 1) * 16] for i in range(11))
-
-
-ZERO_ROUND_KEYS = (bytes(16),) * 11
+ZERO_ROUND_KEYS = bytes(176)
 
 
 def _ctr_keystream(nonce, nblocks, round_keys):
     # the fused pass on the active path, with both operands zero
     zeros = bytes(16 * nblocks)
-    return cipher._ctr_xor(nonce, b"".join(round_keys), zeros, zeros, 16 * nblocks)
+    return cipher._ctr_xor(nonce, round_keys, zeros, zeros, 16 * nblocks)
 
 
 # --- block core ---------------------------------------------------------------
@@ -74,7 +69,7 @@ def test_block_core_matches_independent_reference():
         block = rng.randbytes(16)
         rk = rijndael_round_keys(key)
         oracle_rk = oracles.expand_key(key)
-        assert list(rk) == oracle_rk
+        assert rk == oracle_rk
         assert block_encrypt(block, rk) == oracles.aes_encrypt(block, oracle_rk)
 
 
@@ -86,16 +81,15 @@ def test_block_requires_16_bytes():
 
 def test_rijndael_expansion_shape_and_first_round():
     rk = rijndael_round_keys(FIPS_KEY)
-    assert len(rk) == 11
-    assert all(len(k) == 16 for k in rk)
-    assert rk[0] == FIPS_KEY
+    assert type(rk) is bytes and len(rk) == 11 * 16
+    assert rk[:16] == FIPS_KEY
 
 
 def test_rijndael_expansion_zero_key_golden():
     rk = rijndael_round_keys(bytes(16))
-    assert rk[0] == bytes(16)
-    assert rk[1] == ZERO_KEY_EXPANSION_RK1
-    assert rk[10] == ZERO_KEY_EXPANSION_RK10
+    assert rk[:16] == bytes(16)
+    assert rk[16:32] == ZERO_KEY_EXPANSION_RK1
+    assert rk[160:] == ZERO_KEY_EXPANSION_RK10
 
 
 def test_rijndael_rejects_wrong_key_size():
@@ -104,11 +98,8 @@ def test_rijndael_rejects_wrong_key_size():
 
 
 def test_round_keys_validation():
-    for bad in (
-        (bytes(16),) * 10,
-        (bytes(15),) + (bytes(16),) * 10,
-        (bytes(16),) * 10 + (bytes(17),),
-    ):
+    # round keys are 176 flat bytes; eleven separate blocks are refused too
+    for bad in (bytes(160), bytes(175), bytes(177), (bytes(16),) * 11):
         with pytest.raises(LengthMismatch):
             block_encrypt(bytes(16), bad)
 
@@ -119,8 +110,7 @@ def test_round_keys_validation():
 )
 @settings(max_examples=200, deadline=None)
 def test_python_core_matches_oracle_per_block(blocks, flat):
-    rk = tuple(flat[i:i + 16] for i in range(0, 176, 16))
-    expected = b"".join(oracles.aes_encrypt(blocks[i:i + 16], rk) for i in range(0, len(blocks), 16))
+    expected = b"".join(oracles.aes_encrypt(blocks[i:i + 16], flat) for i in range(0, len(blocks), 16))
     assert cipher._encrypt_blocks(blocks, flat) == expected
 
 
@@ -129,7 +119,7 @@ def test_batched_counter_mode_matches_per_block():
     # random chaos-style and under Rijndael round keys
     rng = random.Random(11)
     for nblocks in (1, 2, 17, 33, 256):
-        for rk in (_random_round_keys(rng), rijndael_round_keys(rng.randbytes(16))):
+        for rk in (rng.randbytes(176), rijndael_round_keys(rng.randbytes(16))):
             nonce = rng.randbytes(12)
             batched = _ctr_keystream(nonce, nblocks, rk)
             counter_blocks = [nonce + i.to_bytes(4, "big") for i in range(nblocks)]
@@ -165,13 +155,13 @@ def test_ctr_known_answer_vectors(request, monkeypatch, compiled):
     # the pinned round keys are the classic expansion of AES_KEY and the
     # chaos round keys of the counting16 master
     (rijndael_rk, _), (chaos_rk, _) = vectors.CTR_KEYSTREAMS
-    assert rijndael_rk == b"".join(rijndael_round_keys(bytes.fromhex(vectors.AES_KEY))).hex()
+    assert rijndael_rk == rijndael_round_keys(bytes.fromhex(vectors.AES_KEY)).hex()
     counting16 = bytes.fromhex(vectors.GOLDEN_KEYS["counting16"]["master"])
-    assert chaos_rk == b"".join(derive_key_material(counting16).round_keys).hex()
+    assert chaos_rk == derive_key_material(counting16).round_keys.hex()
     monkeypatch.setattr(_native, "_kernel", request.getfixturevalue("kernel") if compiled else None)
     nonce = bytes.fromhex(vectors.CTR_NONCE)
     for flat, expected in vectors.CTR_KEYSTREAMS:
-        rk = tuple(bytes.fromhex(flat[i:i + 32]) for i in range(0, 352, 32))
+        rk = bytes.fromhex(flat)
         assert _ctr_keystream(nonce, 3, rk).hex() == expected
         assert _ctr_oracle(nonce, range(3), rk).hex() == expected
 
@@ -186,7 +176,6 @@ def test_compiled_ctr_matches_python_core_and_oracle(kernel, nblocks, nonce, fla
     rng = random.Random(seed)
     a = rng.randbytes(16 * nblocks)
     b = rng.randbytes(16 * nblocks + rng.randrange(32))
-    rk = tuple(flat[i:i + 16] for i in range(0, 176, 16))
     for n in sorted({max(0, 16 * nblocks - short) for short in (0, 1, 15)}):
         compiled = kernel.ctr_xor(nonce, flat, cipher._T_TABLES, cipher._SBOX_BYTES, a, b, n)
         assert compiled == cipher._python_ctr_xor(nonce, flat, a, b, n)
@@ -197,7 +186,7 @@ def test_compiled_ctr_matches_python_core_and_oracle(kernel, nblocks, nonce, fla
         edges = {i for c in range(0, blocks, cipher._CTR_CHUNK_BLOCKS) for i in (c - 1, c)}
         for i in sorted(({*range(min(blocks, 17)), blocks - 1} | edges) - {-1}):
             got = stream[16 * i:16 * i + 16]
-            assert got == _ctr_oracle(nonce, [i], rk)[:len(got)]
+            assert got == _ctr_oracle(nonce, [i], flat)[:len(got)]
 
 
 # --- envelope -------------------------------------------------------------------
@@ -382,23 +371,18 @@ def test_standard_schedule_mode():
     assert out != plaintext
 
 
-def test_standard_schedule_draws_no_chaos_round_keys(monkeypatch):
-    from claes import chaos
-
-    monkeypatch.setattr(_native, "_kernel", None)
-    taken = []
-    reference = chaos._chaos_reference
-    monkeypatch.setattr(chaos, "_chaos_reference", lambda *args: taken.append(args[2]) or reference(*args))
+def test_standard_schedule_overrides_the_chaos_round_keys():
     nonce = bytes(range(12))
     plaintext = bytes(range(40))
-    env = cipher.Cipher(FIPS_KEY, standard_schedule=True).seal(nonce, plaintext, compress=False)
-    assert 176 not in taken
+    standard = cipher.Cipher(FIPS_KEY, standard_schedule=True)
+    assert standard._round_keys == rijndael_round_keys(FIPS_KEY)
+    env = standard.seal(nonce, plaintext, compress=False)
     # the same bytes as the oracle: chaos whitening, standard round keys
     whitening = oracles.keystream(FIPS_KEY, 40)
     stream = oracles.ctr_keystream(nonce, 3, oracles.expand_key(FIPS_KEY))
     assert env.payload == bytes(a ^ b ^ c for a, b, c in zip(plaintext, whitening, stream))
-    cipher.Cipher(FIPS_KEY)
-    assert 176 in taken
+    chaos_env = cipher.Cipher(FIPS_KEY).seal(nonce, plaintext, compress=False)
+    assert chaos_env.payload != env.payload
 
 
 def test_a_colliding_master_key_byte_opens_the_envelope():

@@ -118,7 +118,7 @@ def test_a_message_longer_than_the_cap_is_drawn_and_not_kept():
     master = b"over the cap"
     nonce = bytes(12)
     km = derive_key_material(master)
-    rk = b"".join(km.round_keys)
+    rk = km.round_keys
     for n in (cipher._CACHE_BYTES + 4097, cipher._CACHE_BYTES + 1, 2 * cipher._CACHE_BYTES):
         text = random.Random(n).randbytes(n)
         env = encrypt_message(master, nonce, text, False)

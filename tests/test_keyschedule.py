@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from claes.chaos import seed_from_key1
+from claes.chaos import _chaos_reference, seed_from_key1
 from claes.errors import LengthMismatch, ZeroState
 from claes.keymatrix import default_matrix
 from claes.keyschedule import (
@@ -99,8 +99,10 @@ def test_key2_first_byte_for_zero_master():
 def test_key2_consumes_sixteen_iterations_per_byte():
     key1 = bytes(10)
     seed = seed_from_key1(fold_seed_prefix(key1), DOMAIN_KEY2)
+    m = seed.m_raw
     derive_key2(seed, key1)
-    assert seed.iterations == 16 * 10
+    # 16 steps are 4 bytes of the stream
+    assert seed.m_raw == _chaos_reference(m, 0, 4 * 10)[1]
 
 
 def test_key3_of_zero_key2_is_rotated_lfsr():
@@ -165,12 +167,12 @@ def test_keystream_frozen_vector():
 
 def test_keystream_cost_is_linear_in_length():
     km = derive_key_material(b"linearity")
-    seed_n = keystream_seed(km.key1)
-    generate_keystream(seed_n, km.final_key, 500)
-    seed_2n = keystream_seed(km.key1)
-    generate_keystream(seed_2n, km.final_key, 1000)
-    assert seed_n.iterations == 4 * 500
-    assert seed_2n.iterations == 2 * seed_n.iterations
+    m = keystream_seed(km.key1).m_raw
+    for n in (500, 1000):
+        seed = keystream_seed(km.key1)
+        generate_keystream(seed, km.final_key, n)
+        # 4 map steps per byte, as one take of n bytes
+        assert seed.m_raw == _chaos_reference(m, 0, n)[1]
 
 
 def test_keystream_avalanche_on_master_bit_flip():
@@ -196,14 +198,16 @@ def test_keystream_avalanche_on_master_bit_flip():
 # --- round keys ----------------------------------------------------------------
 
 def test_round_keys_shape():
-    rk = derive_round_keys(seed_from_key1(b"shape", DOMAIN_ROUND_KEYS))
-    assert len(rk) == 11
-    assert all(len(block) == 16 for block in rk)
+    seed = seed_from_key1(b"shape", DOMAIN_ROUND_KEYS)
+    m = seed.m_raw
+    rk = derive_round_keys(seed)
+    assert type(rk) is bytes and len(rk) == 11 * 16
+    assert rk == _chaos_reference(m, 0, 176)[0]
 
 
 def test_round_keys_zero_master_frozen():
     km = derive_key_material(bytes(16))
-    assert km.round_keys[0] == ZERO_MASTER_ROUND_KEY0
+    assert km.round_keys[:16] == ZERO_MASTER_ROUND_KEY0
 
 
 def test_domain_tags_separate_streams():
@@ -303,8 +307,7 @@ def test_key_material_matches_oracle_chain():
         km = derive_key_material(master)
         k1, k2, k3, fk = oracles.key_material(master)
         assert (km.key1, km.key2, km.key3, km.final_key) == (k1, k2, k3, fk)
-        assert km.round_keys == tuple(oracles.round_keys(master))
-        assert km.round_key_bytes == b"".join(km.round_keys)
+        assert km.round_keys == oracles.round_keys(master)
         assert km.keystream_state == keystream_seed(km.key1).m_raw
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -132,6 +133,34 @@ def test_decode_rejects_bad_flag():
 def test_decode_rejects_terminal_not_last():
     with pytest.raises(MisplacedTerminal):
         decode_tokens(bytes.fromhex("0100000141"))
+
+
+def test_largest_index_takes_nine_varint_bytes():
+    tokens = [Token((1 << 63) - 1, 65)]
+    blob = encode_tokens(tokens)
+    assert len(blob) == 9 + 2
+    assert decode_tokens(blob) == tokens
+
+
+def test_index_of_2_to_the_63_or_more_is_refused():
+    # a tenth varint byte would carry bit 63 or above
+    with pytest.raises(BadIndex):
+        decode_tokens(b"\xff" * 9 + b"\x7f\x01A")
+    with pytest.raises(BadIndex):
+        decode_tokens(b"\x80" * 9 + b"\x00\x01A")
+    for index in (1 << 63, -1):
+        with pytest.raises(BadIndex):
+            encode_tokens([Token(index, 65)])
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
+def test_a_long_varint_run_is_refused_in_bounded_time(request, monkeypatch, compiled):
+    # an index grown one shift per byte costs time quadratic in the run
+    monkeypatch.setattr(_native, "_kernel", request.getfixturevalue("kernel") if compiled else None)
+    started = time.perf_counter()
+    with pytest.raises(BadIndex):
+        lz78.unpack(b"\xff" * (1 << 20))
+    assert time.perf_counter() - started < 1.0
 
 
 # streams spliced from whole tokens, terminal tokens, tokens cut before their
