@@ -215,8 +215,9 @@ size_t claes_lz78_pack(const unsigned char *in, size_t n, unsigned char *out)
  * out holding that many bytes, also writes the output.  Entry k of the
  * dictionary is the piece out[start[k] .. start[k + 1]) of the output, and
  * start[entries] is the output size so far.  Returns SIZE_MAX wherever the
- * Python reference raises (a truncated or malformed token, a terminal token
- * that is not last, an index past the dictionary, output past `limit`) and
+ * Python reference raises (a truncated or malformed token, a varint of more
+ * than 9 bytes, a terminal token that is not last, an index past the
+ * dictionary, output past `limit`) and
  * when scratch memory cannot be had; the caller keeps `limit` below
  * SIZE_MAX, so no output size is mistaken for a failure. */
 size_t claes_lz78_unpack(const unsigned char *in, size_t n, size_t limit, unsigned char *out)
@@ -231,23 +232,17 @@ size_t claes_lz78_unpack(const unsigned char *in, size_t n, size_t limit, unsign
     while (pos < n) {
         uint64_t index = 0;
         unsigned shift = 0;
-        int too_big = 0;
         unsigned char b;
         do {
-            if (pos >= n)
+            /* a tenth varint byte would carry bit 63 or above, and the
+             * reference refuses it, whatever its value */
+            if (pos >= n || shift >= 63)
                 goto fail;
             b = in[pos++];
-            /* an index of 2**35 or more is reported as an error; it is past
-             * the dictionary of any stream shorter than 2**36 bytes, and
-             * on an error the caller asks the Python reference */
-            if (shift < 35) {
-                index |= (uint64_t)(b & 0x7F) << shift;
-                shift += 7;
-            } else if (b & 0x7F) {
-                too_big = 1;
-            }
+            index |= (uint64_t)(b & 0x7F) << shift;
+            shift += 7;
         } while (b & 0x80);
-        if (pos >= n || too_big || index >= entries)
+        if (pos >= n || index >= entries)
             goto fail;
         unsigned char flag = in[pos++];
         size_t from = start[index], copied = start[index + 1] - from, piece = copied;

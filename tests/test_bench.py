@@ -1,4 +1,3 @@
-import inspect
 import math
 
 import pytest
@@ -37,15 +36,27 @@ def _tiny_profiles():
     )
 
 
-def test_default_profiles_cover_both_ladders():
+def test_default_profiles_cover_both_ladders(monkeypatch):
     profiles = default_profiles()
     by_sensor = {p.sensor: p.sizes_kb for p in profiles}
     assert by_sensor[Sensor.SMOKE_DETECTOR] == SMALL_SIZES_KB
     assert by_sensor[Sensor.SMART_LIGHT] == SMALL_SIZES_KB
     assert by_sensor[Sensor.IP_CAMERA] == LARGE_SIZES_KB
     assert by_sensor[Sensor.IP_TV] == LARGE_SIZES_KB
-    # every profile gets run_bench's repetitions, 10 unless asked otherwise
-    assert inspect.signature(run_bench).parameters["repetitions"].default == 10
+    # every profile gets run_bench's repetitions, 10 unless asked otherwise:
+    # each cell is timed that often, after one untimed warm-up pass
+    import claes.bench as bench
+
+    calls = {}
+    real = bench.generate_keystream
+
+    def counting(seed, final_key, n):
+        calls[n] = calls.get(n, 0) + 1
+        return real(seed, final_key, n)
+
+    monkeypatch.setattr(bench, "generate_keystream", counting)
+    run_bench(_tiny_profiles(), (METHOD_PROPOSED,), b"k")
+    assert calls == {payload_byte_count(kb): 1 + 10 for kb in (2, 5, 8)}
 
 
 def test_payload_byte_count_units():

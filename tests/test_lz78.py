@@ -246,6 +246,8 @@ def test_pack_matches_the_reference_on_three_byte_varints(kernel):
 @settings(max_examples=400, deadline=None)
 @example(bytes.fromhex("8080800000"), None)  # a long varint of zeros is index 0
 @example(bytes.fromhex("ffffffffffffffffffff0101"), None)  # an index past 2**64
+@example(b"\x80" * 9 + b"\x00\x01A", None)  # index 0 in a ten-byte varint
+@example(b"\x80" * 8 + b"\x00\x01A", None)  # index 0 in a nine-byte varint
 @example(encode_tokens([Token(t, 65) for t in range(4000)]), 64)
 def test_unpack_matches_the_reference_or_raises_as_it_does(kernel, blob, max_output):
     expected = _reference_unpack(blob, max_output)

@@ -50,6 +50,9 @@ _WRONG_SOURCES = {
     ),
     "pack-varint-shift": ("v >>= 7;", "v >>= 6;", lz78),
     "unpack-varint-shift": ("shift += 7;", "shift += 6;", lz78),
+    # a tenth varint byte read, or a ninth refused
+    "unpack-varint-too-long": ("shift >= 63)", "shift >= 70)", lz78),
+    "unpack-varint-too-short": ("shift >= 63)", "shift >= 56)", lz78),
     "unpack-limit": ("if (piece > limit - total)", "if (piece > limit - total + 1)", lz78),
     # an error reported as the output size reached before it
     "unpack-failure-return": (
