@@ -69,13 +69,9 @@ def default_profiles() -> tuple[WorkloadProfile, ...]:
     )
 
 
-def payload_byte_count(size_kb: int, unit: str = "kilobit") -> int:
-    """Sizes are kilobits by default; `kilobyte` reinterprets the same numbers."""
-    if unit == "kilobit":
-        return size_kb * 1000 // 8
-    if unit == "kilobyte":
-        return size_kb * 1000
-    raise ValueError(f"unknown size unit {unit!r}")
+def payload_byte_count(size_kb: int) -> int:
+    """Bytes in ``size_kb`` kilobits, the paper's size unit: 125 per kb."""
+    return size_kb * 1000 // 8
 
 
 @dataclass(frozen=True)
@@ -99,7 +95,6 @@ def run_bench(
     methods,
     master_key: bytes,
     repetitions: int = 10,
-    unit: str = "kilobit",
     matrix: Matrix3D | None = None,
 ) -> list[BenchRecord]:
     """Median of ``repetitions`` timings of the keystream call per (method,
@@ -130,7 +125,7 @@ def run_bench(
     try:
         for rep in range(-1, repetitions):
             for (method, profile, size_kb), times in zip(cells, times_ms):
-                n = payload_byte_count(size_kb, unit)
+                n = payload_byte_count(size_kb)
                 if method == METHOD_PROPOSED:
                     seed = keystream_seed(km.key1)
                     t0 = time.perf_counter_ns()

@@ -5,9 +5,9 @@ The block core is the standard round structure (SubBytes, ShiftRows,
 MixColumns, AddRoundKey) with the published S-box; what varies is where the
 round keys come from.  Round keys are 176 bytes: eleven 16-byte blocks end
 to end.
-Normal operation feeds the core chaos-derived round keys;
+The pipeline feeds the core chaos-derived round keys;
 `rijndael_round_keys` provides the classic expansion so the core can be
-checked against standard vectors and driven in a compatibility mode.
+checked against standard vectors.
 Counter mode runs the forward cipher for encryption and decryption alike,
 so there is no inverse cipher.
 
@@ -78,7 +78,8 @@ RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 
 
 def rijndael_round_keys(key: bytes) -> bytes:
-    """Classic AES-128 key expansion; the compatibility/test schedule."""
+    """Classic AES-128 key expansion, the reference the block core is
+    checked against."""
     if len(key) != 16:
         raise LengthMismatch(f"AES-128 key must be 16 bytes, got {len(key)}")
     words = [list(key[4 * i:4 * i + 4]) for i in range(4)]
@@ -322,9 +323,9 @@ class Cipher:
     bytes twice.
     """
 
-    def __init__(self, master_key: bytes, matrix: Matrix3D | None = None, standard_schedule: bool = False):
+    def __init__(self, master_key: bytes, matrix: Matrix3D | None = None):
         km = derive_key_material(master_key, matrix)
-        self._round_keys = rijndael_round_keys(bytes(master_key)) if standard_schedule else km.round_keys
+        self._round_keys = km.round_keys
         self._final_key = km.final_key
         # (keystream bytes drawn so far, Q0.63 chaos state after them)
         self._drawn = (b"", km.keystream_state)
@@ -367,8 +368,11 @@ class Cipher:
         """Invert `seal`; verifies the declared plaintext length.
 
         Raises `OutputLimitExceeded` before any output past ``max_output``
-        bytes is made; None lifts the cap.
+        bytes is made; None lifts the cap, and a negative cap raises
+        ValueError.
         """
+        if max_output is not None and max_output < 0:
+            raise ValueError(f"max_output must not be negative, got {max_output}")
         payload = bytes(env.payload)
         compressed = env.flags & FLAG_LZ78
         if max_output is not None and not compressed and len(payload) > max_output:
@@ -387,17 +391,17 @@ class Cipher:
 
 
 # encrypt_message and decrypt_message keep the cipher of the last key they
-# used, as ((master key, matrix, standard_schedule), cipher), replaced in one
+# used, as ((master key, matrix), cipher), replaced in one
 # assignment: a sender seals a run of messages under one key, and an open in
 # the sealing process reuses the seal's key
 _last: tuple[tuple, Cipher] | None = None
 
 
-def _cached_cipher(master_key: bytes, matrix: Matrix3D | None, standard_schedule: bool) -> Cipher:
+def _cached_cipher(master_key: bytes, matrix: Matrix3D | None) -> Cipher:
     """The cipher of the arguments: the last one if its key is theirs, else
     a new one that replaces it."""
     global _last
-    key = (bytes(master_key), matrix, standard_schedule)
+    key = (bytes(master_key), matrix)
     last = _last
     if last is not None and last[0] == key:
         return last[1]
@@ -420,15 +424,9 @@ def encrypt_message(
     compress: bool = True,
     *,
     matrix: Matrix3D | None = None,
-    standard_schedule: bool = False,
 ) -> Envelope:
-    """`Cipher.seal` under ``master_key``, with the key's cached cipher.
-
-    ``standard_schedule`` swaps the chaos-derived round keys for the classic
-    expansion of the master key (which must then be 16 bytes); decryption
-    must use the same setting.
-    """
-    return _cached_cipher(master_key, matrix, standard_schedule).seal(nonce, plaintext, compress)
+    """`Cipher.seal` under ``master_key``, with the key's cached cipher."""
+    return _cached_cipher(master_key, matrix).seal(nonce, plaintext, compress)
 
 
 def decrypt_message(
@@ -436,8 +434,7 @@ def decrypt_message(
     master_key: bytes,
     *,
     matrix: Matrix3D | None = None,
-    standard_schedule: bool = False,
     max_output: int | None = DEFAULT_MAX_OUTPUT,
 ) -> bytes:
     """`Cipher.open` under ``master_key``, with the key's cached cipher."""
-    return _cached_cipher(master_key, matrix, standard_schedule).open(env, max_output=max_output)
+    return _cached_cipher(master_key, matrix).open(env, max_output=max_output)

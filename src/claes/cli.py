@@ -116,11 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="12-byte nonce as hex; generated and printed when omitted",
     )
     p.add_argument("--no-compress", action="store_true", help="skip LZ78 pre-compression")
-    p.add_argument(
-        "--standard-schedule",
-        action="store_true",
-        help="use the classic key expansion of the (16-byte) master key",
-    )
     p.set_defaults(handler=_cmd_encrypt)
 
     p = sub.add_parser("decrypt", help="decrypt an envelope back into a file")
@@ -128,11 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
     _add_key_options(p)
     _add_matrix_option(p)
-    p.add_argument(
-        "--standard-schedule",
-        action="store_true",
-        help="match an envelope produced with --standard-schedule",
-    )
     _add_max_output_option(p, "envelopes")
     p.set_defaults(handler=_cmd_decrypt)
 
@@ -150,18 +140,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time keystream generation over the sensor workloads")
     _add_key_options(p, required=False)
     _add_matrix_option(p)
-    p.add_argument(
-        "--unit",
-        choices=("kilobit", "kilobyte"),
-        default="kilobit",
-        help="interpretation of the ladder sizes (default kilobit)",
-    )
     p.add_argument("--reps", type=int, default=10, metavar="N", help="repetitions per point")
     p.add_argument(
         "--sizes",
         type=_sizes_arg,
         metavar="KB,KB,...",
-        help="override the per-sensor ladders with one shared size list",
+        help="override the per-sensor ladders with one shared list of sizes in kilobits",
     )
     p.add_argument("--csv", metavar="PATH", help="also write records as CSV")
     p.add_argument(
@@ -199,7 +183,6 @@ def _cmd_encrypt(args) -> int:
         plaintext,
         compress=not args.no_compress,
         matrix=_matrix(args),
-        standard_schedule=args.standard_schedule,
     )
     with open(args.output, "wb") as fh:
         fh.write(env.encode())
@@ -213,7 +196,6 @@ def _cmd_decrypt(args) -> int:
         Envelope.decode(blob),
         _master_key(args),
         matrix=_matrix(args),
-        standard_schedule=args.standard_schedule,
         max_output=args.max_output,
     )
     with open(args.output, "wb") as fh:
@@ -247,7 +229,7 @@ def _cmd_bench(args) -> int:
     if args.sizes:
         profiles = tuple(bench.WorkloadProfile(p.sensor, args.sizes) for p in profiles)
     print(f"kernel: {kernel_path()}")
-    records = bench.run_bench(profiles, bench.METHODS, master, args.reps, unit=args.unit, matrix=_matrix(args))
+    records = bench.run_bench(profiles, bench.METHODS, master, args.reps, matrix=_matrix(args))
     print(bench.emit_table(records))
     print()
     for method in bench.METHODS:

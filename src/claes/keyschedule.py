@@ -135,8 +135,11 @@ def generate_keystream(seed: ChaoticState, final_key: bytes, n: int) -> bytes:
     """Message-length keystream: chaos byte XOR cycled final-key byte.
 
     Cost is linear in ``n`` (4 map steps per byte); this is the call the
-    benchmark times.  Advances ``seed``.
+    benchmark times.  Advances ``seed``.  An empty ``final_key`` raises
+    `EmptyKey`.
     """
+    if not final_key:
+        raise EmptyKey("final key must not be empty")
     raw = seed.take(n)
     pad = (final_key * -(-n // len(final_key)))[:n]
     return (int.from_bytes(raw, "little") ^ int.from_bytes(pad, "little")).to_bytes(n, "little")

@@ -169,10 +169,12 @@ def pack(data: bytes) -> bytes:
 
 def unpack(blob: bytes, max_output: int | None = None) -> bytes:
     """``decompress(decode_tokens(blob), max_output)`` in one step, raising
-    the same errors."""
+    the same errors; a negative ``max_output`` raises ValueError."""
+    if max_output is not None and max_output < 0:
+        raise ValueError(f"max_output must not be negative, got {max_output}")
     blob = bytes(blob)
     kernel = _native.kernel()
-    if kernel is not None and (max_output is None or max_output >= 0):
+    if kernel is not None:
         data = kernel.unpack(blob, max_output)
         if data is not None:
             return data

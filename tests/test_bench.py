@@ -61,10 +61,7 @@ def test_default_profiles_cover_both_ladders(monkeypatch):
 
 def test_payload_byte_count_units():
     assert payload_byte_count(10) == 10 * 1000 // 8 == 1250
-    assert payload_byte_count(512, "kilobit") == 64000
-    assert payload_byte_count(10, "kilobyte") == 10000
-    with pytest.raises(ValueError):
-        payload_byte_count(10, "mebibyte")
+    assert payload_byte_count(512) == 64000
 
 
 def test_run_bench_record_shape():

@@ -357,34 +357,6 @@ def test_nonce_separation():
     assert differing == 1000
 
 
-def test_standard_schedule_mode():
-    master = FIPS_KEY
-    nonce = bytes(range(12))
-    plaintext = b"standard schedule interop"
-    env = encrypt_message(master, nonce, plaintext, compress=True, standard_schedule=True)
-    assert decrypt_message(env, master, standard_schedule=True) == plaintext
-    # chaos-schedule decryption of a standard-schedule envelope must not work
-    try:
-        out = decrypt_message(env, master)
-    except ClaesError:
-        out = None
-    assert out != plaintext
-
-
-def test_standard_schedule_overrides_the_chaos_round_keys():
-    nonce = bytes(range(12))
-    plaintext = bytes(range(40))
-    standard = cipher.Cipher(FIPS_KEY, standard_schedule=True)
-    assert standard._round_keys == rijndael_round_keys(FIPS_KEY)
-    env = standard.seal(nonce, plaintext, compress=False)
-    # the same bytes as the oracle: chaos whitening, standard round keys
-    whitening = oracles.keystream(FIPS_KEY, 40)
-    stream = oracles.ctr_keystream(nonce, 3, oracles.expand_key(FIPS_KEY))
-    assert env.payload == bytes(a ^ b ^ c for a, b, c in zip(plaintext, whitening, stream))
-    chaos_env = cipher.Cipher(FIPS_KEY).seal(nonce, plaintext, compress=False)
-    assert chaos_env.payload != env.payload
-
-
 def test_a_colliding_master_key_byte_opens_the_envelope():
     # 0x06 and 0xA0 share a code in the default cube, so they give one Key1
     sealing = bytes([0x06]) + bytes(range(1, 16))
@@ -392,11 +364,6 @@ def test_a_colliding_master_key_byte_opens_the_envelope():
     env = encrypt_message(sealing, bytes(12), b"equivalent keys", compress=False)
     cipher.clear_key_cache()
     assert decrypt_message(env, opening) == b"equivalent keys"
-
-
-def test_standard_schedule_requires_16_byte_master():
-    with pytest.raises(LengthMismatch):
-        encrypt_message(b"short", bytes(12), b"x", standard_schedule=True)
 
 
 def test_chaos_round_keys_feed_the_block_core():

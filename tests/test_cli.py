@@ -98,17 +98,6 @@ def test_no_compress_flag(tmp_path):
     assert len(env.payload) == 100
 
 
-def test_standard_schedule_roundtrip(tmp_path):
-    src = tmp_path / "in"
-    enc = tmp_path / "enc"
-    dst = tmp_path / "dst"
-    src.write_bytes(b"classic expansion")
-    args = ["--key", KEY_HEX, "--nonce", NONCE_HEX, "--standard-schedule"]
-    assert main(["encrypt", str(src), str(enc)] + args) == EXIT_OK
-    assert main(["decrypt", str(enc), str(dst), "--key", KEY_HEX, "--standard-schedule"]) == EXIT_OK
-    assert dst.read_bytes() == b"classic expansion"
-
-
 def test_decrypt_corrupted_magic(tmp_path, capsys):
     src = tmp_path / "in"
     enc = tmp_path / "enc"

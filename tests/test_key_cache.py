@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import claes
-from claes import _native, cipher
+from claes import _native, cipher, lz78
 from claes.cipher import (
     FLAG_LZ78,
     Cipher,
@@ -101,7 +101,7 @@ def test_the_cache_stays_within_its_bounds():
             assert decrypt_message(env, key) == text
             _assert_within_bounds()
     # the last key used is the one kept
-    assert cipher._last[0] == (keys[-1], None, False)
+    assert cipher._last[0] == (keys[-1], None)
 
 
 def test_a_repeated_key_reuses_its_cipher_and_a_new_key_replaces_it():
@@ -111,7 +111,7 @@ def test_a_repeated_key_reuses_its_cipher_and_a_new_key_replaces_it():
     assert decrypt_message(env, b"first") == b"another reading"
     assert cipher._last[1] is kept
     encrypt_message(b"second", bytes(12), b"reading")
-    assert cipher._last[0] == (b"second", None, False) and cipher._last[1] is not kept
+    assert cipher._last[0] == (b"second", None) and cipher._last[1] is not kept
 
 
 def test_a_message_longer_than_the_cap_is_drawn_and_not_kept():
@@ -153,14 +153,16 @@ def test_failed_calls_leave_the_cache_within_its_cap():
 
 
 def test_the_cache_is_keyed_on_matrix_and_schedule():
+    # the round-key schedule is the chaos one of the key under its matrix
     master = bytes(range(16))
     matrix = parse_matrix_config("0 0 0 5")
     a = encrypt_message(master, bytes(12), b"same", False)
-    b = encrypt_message(master, bytes(12), b"same", False, standard_schedule=True)
     c = encrypt_message(master, bytes(12), b"same", False, matrix=matrix)
-    assert len({a, b, c}) == 3 and cipher._last[0] == (master, matrix, False)
-    assert decrypt_message(b, master, standard_schedule=True) == b"same"
+    assert a != c and cipher._last[0] == (master, matrix)
+    assert cipher._last[1]._round_keys == derive_key_material(master, matrix).round_keys
     assert decrypt_message(c, master, matrix=matrix) == b"same"
+    assert decrypt_message(a, master) == b"same"
+    assert cipher._last[1]._round_keys == derive_key_material(master).round_keys
 
 
 @pytest.mark.parametrize("through", ["cache", "cipher"])
@@ -267,3 +269,19 @@ def test_max_output_caps_both_envelope_kinds():
             decrypt_message(env, master, max_output=len(text) - 1)
         assert decrypt_message(env, master, max_output=len(text)) == text
         assert Cipher(master).open(env, max_output=None) == text
+
+
+@pytest.mark.parametrize("kind", ["compressed envelope", "plain envelope", "lz78.unpack"])
+def test_a_negative_max_output_is_refused(kind):
+    # each empty input would make no output at all, so only the check on
+    # the cap itself can refuse it
+    if kind == "lz78.unpack":
+        def run():
+            return lz78.unpack(b"", max_output=-1)
+    else:
+        env = encrypt_message(b"k", bytes(12), b"", kind == "compressed envelope")
+
+        def run():
+            return decrypt_message(env, b"k", max_output=-1)
+    with pytest.raises(ValueError, match="must not be negative"):
+        run()

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from claes.chaos import _chaos_reference, seed_from_key1
-from claes.errors import LengthMismatch, ZeroState
+from claes.errors import EmptyKey, LengthMismatch, ZeroState
 from claes.keymatrix import default_matrix
 from claes.keyschedule import (
     _PAD,
@@ -142,6 +142,15 @@ def test_final_key_length_mismatch():
 def test_keystream_empty():
     km = derive_key_material(b"k")
     assert generate_keystream(keystream_seed(km.key1), km.final_key, 0) == b""
+
+
+@pytest.mark.parametrize("n", [0, 1, 64])
+def test_keystream_refuses_an_empty_final_key(n):
+    seed = keystream_seed(b"abc")
+    with pytest.raises(EmptyKey):
+        generate_keystream(seed, b"", n)
+    # refused before the chaos state moves
+    assert seed.m_raw == keystream_seed(b"abc").m_raw
 
 
 def test_keystream_zero_final_key_is_raw_chaos():
