@@ -1,6 +1,7 @@
 /* Compiled twins of the three per-byte loops of the pipeline: the Q0.63
  * logistic map's burn-in and byte draw, one function (chaos.py), AES-128
- * counter mode (cipher.py) and the LZ78 codec with its token wire format
+ * counter mode (cipher.py), on T-tables and, where an x86-64 CPU has them,
+ * on the AES instructions, and the LZ78 codec with its token wire format
  * (lz78.py).
  *
  * Built on first use with the system C compiler and loaded through ctypes
@@ -18,17 +19,24 @@
 #include <stdlib.h>
 #include <string.h>
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 /* --- logistic map ---------------------------------------------------------- */
 
 #define ONE (UINT64_C(1) << 63)
 #define PERTURBATION (UINT64_C(1) << 39) /* chaos._PERTURBATION */
 
 /* m' = 39999q // 10000 with q = (m * (2**63 - m)) >> 63, truncating.
+ * m < 2**63, so 2m fits in 64 bits and q is the high word of the 64 x 64-bit
+ * product 2m * (2**63 - m) < 2**127: one multiply and no shift.  Then
  * floor(39999q / 10000) = 4q - ceil(q / 10000) exactly, and q <= 2**61, so
- * 4q fits in 64 bits: the 64 x 64-bit product is the only wide operation. */
+ * 4q fits in 64 bits: the high word is the only wide operation. */
 static inline uint64_t step(uint64_t m)
 {
-    uint64_t q = (uint64_t)(((unsigned __int128)m * (ONE - m)) >> 63);
+    uint64_t q = (uint64_t)(((unsigned __int128)(2 * m) * (ONE - m)) >> 64);
     return 4 * q - (q + 9999) / 10000;
 }
 
@@ -134,6 +142,68 @@ void claes_ctr_xor(const unsigned char *nonce, const unsigned char *round_keys,
             out[at + j] = a[at + j] ^ b[at + j] ^ block[j];
     }
 }
+
+/* Whether claes_ctr_xor_aesni can run: the CPU reports AES-NI and SSE4.1.
+ * The loop is compiled for them on every x86-64 build, whatever the build
+ * machine, so only this probe decides whether it is called; elsewhere it
+ * does not exist and the probe says no. */
+#if defined(__x86_64__)
+int claes_has_aes_hw(void)
+{
+    unsigned eax, ebx, ecx, edx;
+    return __get_cpuid(1, &eax, &ebx, &ecx, &edx) && (ecx & bit_AES) && (ecx & bit_SSE4_1);
+}
+
+#define LANES 8 /* counter blocks in flight */
+
+/* claes_ctr_xor on the AES instructions (Gueron, "Intel Advanced Encryption
+ * Standard (AES) New Instructions Set", Intel, 2010): aesenc is one whole
+ * round and aesenclast the last, each with any 16 round-key bytes in the
+ * flat state's byte order, so the 176 bytes load as they are.  LANES counter
+ * blocks go through each round together, so their rounds overlap in the
+ * pipeline, and a batch past the end computes blocks it does not use.  No
+ * table is indexed by a secret byte. */
+__attribute__((target("aes,sse4.1")))
+void claes_ctr_xor_aesni(const unsigned char *nonce, const unsigned char *round_keys,
+                         const unsigned char *a, const unsigned char *b, size_t n, unsigned char *out)
+{
+    __m128i k[11];
+    for (int i = 0; i < 11; i++)
+        k[i] = _mm_loadu_si128((const __m128i *)(round_keys + 16 * i));
+    unsigned char padded[16] = {0};
+    memcpy(padded, nonce, 12);
+    __m128i base = _mm_loadu_si128((const __m128i *)padded);
+
+    for (size_t at = 0; at < n; at += 16 * LANES) {
+        uint32_t ctr = (uint32_t)(at / 16);
+        __m128i s[LANES];
+        /* the counter's bytes, most significant first, in the last word */
+        for (int l = 0; l < LANES; l++)
+            s[l] = _mm_xor_si128(_mm_insert_epi32(base, (int)__builtin_bswap32(ctr + l), 3), k[0]);
+        for (int rnd = 1; rnd < 10; rnd++)
+            for (int l = 0; l < LANES; l++)
+                s[l] = _mm_aesenc_si128(s[l], k[rnd]);
+        for (size_t o = at; o < n && o < at + 16 * LANES; o += 16) {
+            __m128i block = _mm_aesenclast_si128(s[(o - at) / 16], k[10]);
+            if (n - o >= 16) {
+                __m128i ab = _mm_xor_si128(_mm_loadu_si128((const __m128i *)(a + o)),
+                                           _mm_loadu_si128((const __m128i *)(b + o)));
+                _mm_storeu_si128((__m128i *)(out + o), _mm_xor_si128(ab, block));
+            } else {
+                unsigned char last[16];
+                _mm_storeu_si128((__m128i *)last, block);
+                for (size_t j = 0; o + j < n; j++)
+                    out[o + j] = a[o + j] ^ b[o + j] ^ last[j];
+            }
+        }
+    }
+}
+#else
+int claes_has_aes_hw(void)
+{
+    return 0;
+}
+#endif
 
 /* --- LZ78 ------------------------------------------------------------------ */
 

@@ -2,7 +2,8 @@
 
 The kernel runs the three per-byte loops of the pipeline: the logistic map
 (`chaos`, one function for burn-in then byte draw), AES-128 counter mode
-(`cipher`) and the LZ78 codec (`lz78`).
+(`cipher`) and the LZ78 codec (`lz78`).  Counter mode runs on the CPU's AES
+instructions when CPUID reports them (x86-64 AES-NI), else on T-tables.
 It is compiled on first use with the system ``cc`` into the user's cache
 directory (``$XDG_CACHE_HOME/claes``, else ``~/.cache/claes``), under a file
 name that carries a CRC-32 of the source and the compiler flags, so an
@@ -43,16 +44,41 @@ def _bind(function, restype, *argtypes):
     return function
 
 
+def _ctr_loop(function, *tables: bytes):
+    """A binding of one C counter-mode loop, given the tables it reads."""
+
+    def ctr_xor(nonce: bytes, round_keys: bytes, a: bytes, b: bytes, n: int) -> bytes:
+        """The first ``n`` bytes of ``a`` XOR ``b`` XOR the AES-128
+        counter-mode stream of ``nonce`` under the 176 ``round_keys`` bytes,
+        in one pass (`cipher._python_ctr_xor`).  The caller checks every
+        length."""
+        buf = bytearray(n)
+        function(nonce, round_keys, *tables, a, b, n, _out(buf))
+        return bytes(buf)
+
+    return ctr_xor
+
+
 class Kernel:
     """ctypes bindings of the functions in ``_kernel.c``.  Each output is a
     ``bytearray`` the C side fills, returned as ``bytes``."""
 
     def __init__(self, lib: ctypes.CDLL):
+        from .cipher import _SBOX_BYTES, _T_TABLES
+
         out, size, data = ctypes.POINTER(ctypes.c_ubyte), ctypes.c_size_t, ctypes.c_char_p
         self._chaos = _bind(lib.claes_chaos, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint, out, size)
-        self._ctr_xor = _bind(lib.claes_ctr_xor, None, *(data,) * 6, size, out)
         self._pack = _bind(lib.claes_lz78_pack, size, data, size, out)
         self._unpack = _bind(lib.claes_lz78_unpack, size, data, size, size, out)
+        # every counter-mode loop this CPU can run, by the AES it runs on,
+        # fastest first; ctr_xor is the first, and the load check checks all
+        self.ctr_loops = {}
+        if _bind(lib.claes_has_aes_hw, ctypes.c_int)():
+            aes_ni = _bind(lib.claes_ctr_xor_aesni, None, *(data,) * 4, size, out)
+            self.ctr_loops["AES-NI"] = _ctr_loop(aes_ni)
+        t_tables = _bind(lib.claes_ctr_xor, None, *(data,) * 6, size, out)
+        self.ctr_loops["T-tables"] = _ctr_loop(t_tables, _T_TABLES, _SBOX_BYTES)
+        self.aes, self.ctr_xor = next(iter(self.ctr_loops.items()))
 
     def chaos(self, m: int, steps: int, n: int) -> tuple[bytes, int]:
         """``n`` stream bytes from state ``m`` after ``steps`` steps of
@@ -60,16 +86,6 @@ class Kernel:
         buf = bytearray(n)
         m = self._chaos(m, steps, _out(buf), n)
         return bytes(buf), m
-
-    def ctr_xor(self, nonce: bytes, round_keys: bytes, tables: bytes, sbox: bytes,
-                a: bytes, b: bytes, n: int) -> bytes:
-        """The first ``n`` bytes of ``a`` XOR ``b`` XOR the AES-128
-        counter-mode stream of ``nonce`` under the 176 ``round_keys`` bytes,
-        from the 4096-byte T-tables and the S-box, in one pass.  The caller
-        checks every length."""
-        buf = bytearray(n)
-        self._ctr_xor(nonce, round_keys, tables, sbox, a, b, n, _out(buf))
-        return bytes(buf)
 
     def pack(self, data: bytes) -> bytes | None:
         """``encode_tokens(compress(data))``; None when the kernel's memory
@@ -155,8 +171,9 @@ def load() -> Kernel | None:
 
 def kernel_matches_reference(kernel: Kernel, chaos_bytes: int = 64) -> bool:
     """Whether every function of ``kernel`` gives its Python reference's
-    bytes: the chaos function on ``chaos_bytes``-byte streams, counter mode on
-    pinned vectors, and the LZ78 codec on fixed inputs."""
+    bytes: the chaos function on ``chaos_bytes``-byte streams, every
+    counter-mode loop on pinned vectors and the Python core, and the LZ78
+    codec on fixed inputs."""
     from . import chaos, cipher, lz78
 
     return (
@@ -183,5 +200,7 @@ def kernel() -> Kernel | None:
 
 
 def kernel_path() -> str:
-    """Which code runs the per-byte loops, for reports beside timings."""
-    return "python" if kernel() is None else "compiled (_kernel.c)"
+    """Which code runs the per-byte loops, and on which AES, for reports
+    beside timings."""
+    checked = kernel()
+    return "python" if checked is None else f"compiled (_kernel.c, {checked.aes})"

@@ -14,7 +14,8 @@ so there is no inverse cipher.
 The Python core runs each step over all blocks at once, with the standard
 library only; it runs `block_encrypt`, and counter mode when the compiled
 kernel (``_kernel.c``, see `_native`) is not in use.  The kernel runs the
-same cipher in its 32-bit T-table form and gives the same bytes.
+same cipher on the CPU's AES instructions where it has them, else in its
+32-bit T-table form, and gives the same bytes.
 
 Messages are processed as: optional LZ78 compression, XOR with the
 message-length chaotic keystream, then counter-mode block encryption; the
@@ -212,25 +213,31 @@ def _ctr_xor(nonce: bytes, round_keys: bytes, a: bytes, b: bytes, n: int) -> byt
     kernel = _native.kernel()
     if kernel is None:
         return _python_ctr_xor(bytes(nonce), round_keys, a, b, n)
-    return kernel.ctr_xor(bytes(nonce), round_keys, _T_TABLES, _SBOX_BYTES, a, b, n)
+    return kernel.ctr_xor(bytes(nonce), round_keys, a, b, n)
 
 
 # non-zero operands for the kernel check: bytes 1, 15 and 17 end inside a
-# block, and b runs past each of them
-_CHECK_A = bytes(range(1, 49))
-_CHECK_B = bytes(range(255, 159, -2))
+# block, 48 is the pinned keystreams' length, and 16 * 17 + 5 runs past two
+# batches of eight blocks into a third; b runs past each of them
+_CHECK_LENGTHS = (1, 15, 17, 48, 16 * 17 + 5)
+_CHECK_A = bytes(i % 255 + 1 for i in range(_CHECK_LENGTHS[-1]))
+_CHECK_B = bytes(255 - 2 * i % 256 for i in range(_CHECK_LENGTHS[-1] + 1))
 
 
 def kernel_matches_reference(kernel: _native.Kernel) -> bool:
-    """Whether ``kernel``'s fused counter mode gives the pinned keystreams
-    XORed with two non-zero operands, cut at n = 1, 15, 17 and 48 bytes."""
+    """Whether each of ``kernel``'s counter-mode loops gives the Python
+    core's bytes, with two non-zero operands, under both pinned round keys
+    at each of `_CHECK_LENGTHS`; the core's first 48 bytes must be the
+    pinned keystreams XORed with the operands."""
     nonce = bytes.fromhex(vectors.CTR_NONCE)
-    operands = int.from_bytes(_CHECK_A, "little") ^ int.from_bytes(_CHECK_B, "little")
     for flat, expected in vectors.CTR_KEYSTREAMS:
         rk = bytes.fromhex(flat)
-        reference = (int.from_bytes(bytes.fromhex(expected), "little") ^ operands).to_bytes(48, "little")
-        for n in (1, 15, 17, 48):
-            if kernel.ctr_xor(nonce, rk, _T_TABLES, _SBOX_BYTES, _CHECK_A, _CHECK_B, n) != reference[:n]:
+        reference = _python_ctr_xor(nonce, rk, _CHECK_A, _CHECK_B, len(_CHECK_A))
+        pinned = bytes(x ^ y ^ z for x, y, z in zip(bytes.fromhex(expected), _CHECK_A, _CHECK_B))
+        if reference[:48] != pinned:
+            return False
+        for loop in kernel.ctr_loops.values():
+            if any(loop(nonce, rk, _CHECK_A, _CHECK_B, n) != reference[:n] for n in _CHECK_LENGTHS):
                 return False
     return True
 

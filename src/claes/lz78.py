@@ -53,11 +53,13 @@ def decompress(tokens, max_output: int | None = None) -> bytes:
     """Exact inverse of :func:`compress`.
 
     Raises :class:`OutputLimitExceeded` as soon as the output passes
-    ``max_output`` bytes.  Every dictionary entry is kept as the (start,
-    length) of a piece already written to the output (Ziv & Lempel, IEEE
-    Trans. IT 1978), so memory grows with the output, and the limit bounds
-    it.
+    ``max_output`` bytes, and ValueError for a negative ``max_output``.
+    Every dictionary entry is kept as the (start, length) of a piece
+    already written to the output (Ziv & Lempel, IEEE Trans. IT 1978), so
+    memory grows with the output, and the limit bounds it.
     """
+    if max_output is not None and max_output < 0:
+        raise ValueError(f"max_output must not be negative, got {max_output}")
     limit = sys.maxsize if max_output is None else max_output
     # entry i is the piece out[starts[i]:starts[i] + lengths[i]]
     starts = [0]

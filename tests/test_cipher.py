@@ -158,17 +158,24 @@ def test_ctr_known_answer_vectors(request, monkeypatch, compiled):
     assert rijndael_rk == rijndael_round_keys(bytes.fromhex(vectors.AES_KEY)).hex()
     counting16 = bytes.fromhex(vectors.GOLDEN_KEYS["counting16"]["master"])
     assert chaos_rk == derive_key_material(counting16).round_keys.hex()
-    monkeypatch.setattr(_native, "_kernel", request.getfixturevalue("kernel") if compiled else None)
+    kernel = request.getfixturevalue("kernel") if compiled else None
+    monkeypatch.setattr(_native, "_kernel", kernel)
     nonce = bytes.fromhex(vectors.CTR_NONCE)
-    for flat, expected in vectors.CTR_KEYSTREAMS:
-        rk = bytes.fromhex(flat)
-        assert _ctr_keystream(nonce, 3, rk).hex() == expected
-        assert _ctr_oracle(nonce, range(3), rk).hex() == expected
+    # on the kernel, every loop it binds: where the AES-NI one serves, the
+    # T-table one that the ARM targets run is checked too
+    for loop in kernel.ctr_loops.values() if compiled else [None]:
+        if loop is not None:
+            monkeypatch.setattr(kernel, "ctr_xor", loop)
+        for flat, expected in vectors.CTR_KEYSTREAMS:
+            rk = bytes.fromhex(flat)
+            assert _ctr_keystream(nonce, 3, rk).hex() == expected
+            assert _ctr_oracle(nonce, range(3), rk).hex() == expected
 
 
-# 1023-1025 and 2049 straddle the Python core's 1024-block chunks; each count
-# runs whole, and one and fifteen bytes short, so n covers 0, 1, 15, 16, 17
-@pytest.mark.parametrize("nblocks", [0, 1, 2, 17, 256, 1023, 1024, 1025, 1537, 2049])
+# 1023-1025 and 2049 straddle the Python core's 1024-block chunks, and 7-9
+# and 17 the AES-NI loop's batches of eight blocks; each count runs whole,
+# and one and fifteen bytes short, so n covers 0, 1, 15, 16, 17
+@pytest.mark.parametrize("nblocks", [0, 1, 2, 7, 8, 9, 17, 256, 1023, 1024, 1025, 1537, 2049])
 @given(nonce=st.binary(min_size=12, max_size=12), flat=st.binary(min_size=176, max_size=176),
        seed=st.integers(0, 2**32))
 @settings(max_examples=12, deadline=None)
@@ -177,9 +184,12 @@ def test_compiled_ctr_matches_python_core_and_oracle(kernel, nblocks, nonce, fla
     a = rng.randbytes(16 * nblocks)
     b = rng.randbytes(16 * nblocks + rng.randrange(32))
     for n in sorted({max(0, 16 * nblocks - short) for short in (0, 1, 15)}):
-        compiled = kernel.ctr_xor(nonce, flat, cipher._T_TABLES, cipher._SBOX_BYTES, a, b, n)
-        assert compiled == cipher._python_ctr_xor(nonce, flat, a, b, n)
-        stream = bytes(x ^ y ^ z for x, y, z in zip(compiled, a, b))
+        reference = cipher._python_ctr_xor(nonce, flat, a, b, n)
+        # every loop the kernel binds: the AES-NI one where the CPU has it,
+        # and the T-table one that the ARM targets run
+        for aes, ctr_xor in kernel.ctr_loops.items():
+            assert ctr_xor(nonce, flat, a, b, n) == reference, aes
+        stream = bytes(x ^ y ^ z for x, y, z in zip(reference, a, b))
         # the oracle takes about 1 ms a block: every block of short streams,
         # and the first and last blocks of long ones and of each chunk
         blocks = -(-n // 16)

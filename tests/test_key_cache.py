@@ -271,13 +271,18 @@ def test_max_output_caps_both_envelope_kinds():
         assert Cipher(master).open(env, max_output=None) == text
 
 
-@pytest.mark.parametrize("kind", ["compressed envelope", "plain envelope", "lz78.unpack"])
+@pytest.mark.parametrize(
+    "kind", ["compressed envelope", "plain envelope", "lz78.unpack", "lz78.decompress"]
+)
 def test_a_negative_max_output_is_refused(kind):
     # each empty input would make no output at all, so only the check on
     # the cap itself can refuse it
     if kind == "lz78.unpack":
         def run():
             return lz78.unpack(b"", max_output=-1)
+    elif kind == "lz78.decompress":
+        def run():
+            return lz78.decompress([], max_output=-1)
     else:
         env = encrypt_message(b"k", bytes(12), b"", kind == "compressed envelope")
 

@@ -48,6 +48,11 @@ _WRONG_SOURCES = {
         "out[at + j] = a[at + j] ^ b[j] ^ block[j];",
         cipher,
     ),
+    # the AES-NI loop (skipped where the CPU has none): the eighth lane's
+    # counter one too high, which the 48-byte vectors never reach, and the
+    # last round under the ninth round's key
+    "aes-ni-lane-counter": ("__builtin_bswap32(ctr + l)", "__builtin_bswap32(ctr + l + (l == 7))", cipher),
+    "aes-ni-last-round-key": ("k[10])", "k[9])", cipher),
     "pack-varint-shift": ("v >>= 7;", "v >>= 6;", lz78),
     "unpack-varint-shift": ("shift += 7;", "shift += 6;", lz78),
     # a tenth varint byte read, or a ninth refused
@@ -75,12 +80,23 @@ def test_a_kernel_built_from_a_wrong_source_is_refused(tmp_path, monkeypatch, mu
     built = _native.load()
     if built is None:
         pytest.skip("no C compiler could build the kernel here")
+    if mutation.startswith("aes-ni-") and "AES-NI" not in built.ctr_loops:
+        pytest.skip("this CPU has no AES-NI")
     for other in {chaos, cipher, lz78} - {family}:
         assert other.kernel_matches_reference(built)
     assert not family.kernel_matches_reference(built)
     monkeypatch.setattr(_native, "_kernel", _native._UNLOADED)
     assert _native.kernel() is None
     _envelopes_hold()
+
+
+def test_the_kernel_path_names_the_aes_that_runs(kernel, monkeypatch):
+    # the T-table loop is bound on every CPU, and last, so it serves only
+    # where the CPU has no AES instructions
+    assert list(kernel.ctr_loops)[-1] == "T-tables"
+    assert kernel.ctr_xor is kernel.ctr_loops[kernel.aes] is next(iter(kernel.ctr_loops.values()))
+    monkeypatch.setattr(_native, "_kernel", kernel)
+    assert _native.kernel_path() == f"compiled (_kernel.c, {kernel.aes})"
 
 
 def test_the_kernel_path_makes_no_ctypes_buffer_type(kernel, monkeypatch):
