@@ -58,7 +58,6 @@ from .keyschedule import (
     keystream_seed,
     lfsr_next,
 )
-from .lz78 import Token, compress, decode_tokens, decompress, encode_tokens
 
 __version__ = "0.1.0"
 
@@ -81,7 +80,6 @@ __all__ = [
     "MessageTooLong",
     "MisplacedTerminal",
     "OutputLimitExceeded",
-    "Token",
     "TooFewPoints",
     "Truncated",
     "UnknownFlags",
@@ -89,9 +87,6 @@ __all__ = [
     "baseline_keystream",
     "block_encrypt",
     "clear_key_cache",
-    "compress",
-    "decode_tokens",
-    "decompress",
     "decrypt_message",
     "default_matrix",
     "derive_final_key",
@@ -101,7 +96,6 @@ __all__ = [
     "derive_key_material",
     "derive_round_keys",
     "encode_byte",
-    "encode_tokens",
     "encrypt_message",
     "fold_seed_prefix",
     "generate_keystream",

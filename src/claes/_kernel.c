@@ -284,24 +284,24 @@ size_t claes_lz78_pack(const unsigned char *in, size_t n, unsigned char *out)
  * With out NULL, checks the whole stream and returns the output size; with
  * out holding that many bytes, also writes the output.  Entry k of the
  * dictionary is the piece out[start[k] .. start[k + 1]) of the output, and
- * start[entries] is the output size so far.  Returns SIZE_MAX wherever the
- * Python reference raises (a truncated or malformed token, a varint of more
- * than 9 bytes, a terminal token that is not last, an index past the
- * dictionary, output past `limit`) and
- * when scratch memory cannot be had; the caller keeps `limit` below
- * SIZE_MAX, so no output size is mistaken for a failure. */
-size_t claes_lz78_unpack(const unsigned char *in, size_t n, size_t limit, unsigned char *out)
+ * start[entries] is the output size so far.  Returns SIZE_MAX at the first
+ * token the Python reference refuses, and then writes to stop, unless it is
+ * NULL, that token's number and the byte it starts at; returns SIZE_MAX
+ * with stop untouched when scratch memory cannot be had.  The caller keeps
+ * `limit` below SIZE_MAX, so no output size is mistaken for a failure. */
+size_t claes_lz78_unpack(const unsigned char *in, size_t n, size_t limit, unsigned char *out, size_t *stop)
 {
     /* every token takes at least two bytes and adds one entry to the empty
      * entry 0, and the sentinel takes one slot more */
     size_t *start = malloc((n / 2 + 2) * sizeof *start);
-    size_t entries = 1, pos = 0, total = 0;
+    size_t entries = 1, pos = 0, at = 0, total = 0;
     if (!start)
         return SIZE_MAX;
     start[0] = start[1] = 0;
     while (pos < n) {
         uint64_t index = 0;
         unsigned shift = 0;
+        at = pos;
         unsigned char b;
         do {
             /* a tenth varint byte would carry bit 63 or above, and the
@@ -340,6 +340,10 @@ size_t claes_lz78_unpack(const unsigned char *in, size_t n, size_t limit, unsign
     free(start);
     return total;
 fail:
+    if (stop) {
+        stop[0] = entries - 1;
+        stop[1] = at;
+    }
     free(start);
     return SIZE_MAX;
 }

@@ -19,7 +19,9 @@ the Python code, which gives the same bytes more slowly.
 
 Every binding calls the kernel one way: Python sizes each output as a
 ``bytearray`` that the C side writes into (`_out`), constants live in the C
-source, and a call that can fail returns the output size or ``SIZE_MAX``.
+source, and a call that can fail returns the output size or ``SIZE_MAX``,
+on which the binding raises MemoryError, or for an LZ78 fault the error
+the Python reference raises there.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ class Kernel:
         out, size, data = ctypes.POINTER(ctypes.c_ubyte), ctypes.c_size_t, ctypes.c_char_p
         self._chaos = _bind(lib.claes_chaos, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint, out, size)
         self._pack = _bind(lib.claes_lz78_pack, size, data, size, out)
-        self._unpack = _bind(lib.claes_lz78_unpack, size, data, size, size, out)
+        self._unpack = _bind(lib.claes_lz78_unpack, size, data, size, size, out, ctypes.POINTER(size))
         # every counter-mode loop this CPU can run, by the AES it runs on,
         # fastest first; ctr_xor is the first, and the load check checks all
         self.ctr_loops = {}
@@ -87,29 +89,35 @@ class Kernel:
         m = self._chaos(m, steps, _out(buf), n)
         return bytes(buf), m
 
-    def pack(self, data: bytes) -> bytes | None:
-        """``encode_tokens(compress(data))``; None when the kernel's memory
-        cannot be had."""
+    def pack(self, data: bytes) -> bytes:
+        """``encode_tokens(compress(data))``."""
         n = len(data)
         # at most n tokens, each a varint index below n and at most 2 bytes more
         buf = bytearray(n * (max(1, -(-n.bit_length() // 7)) + 2))
         size = self._pack(data, n, _out(buf))
         if size == _SIZE_MAX:
-            return None
+            raise MemoryError("no memory for the LZ78 trie")
         return bytes(memoryview(buf)[:size])
 
-    def unpack(self, blob: bytes, max_output: int | None) -> bytes | None:
-        """``decompress(decode_tokens(blob), max_output)`` for ``max_output``
-        None or non-negative; None wherever the reference raises, and when
-        the kernel's memory cannot be had."""
+    def unpack(self, blob: bytes, max_output: int | None) -> bytes:
+        """`lz78.unpack` for ``max_output`` None or non-negative: the output,
+        or the error the Python reference raises."""
         limit = _SIZE_MAX - 1 if max_output is None else min(max_output, _SIZE_MAX - 1)
         # a sizing pass first: no length the input claims is trusted
-        size = self._unpack(blob, len(blob), limit, None)
+        size = self._unpack(blob, len(blob), limit, None, None)
         if size == _SIZE_MAX:
-            return None
+            # again, to learn where it stopped; a clean decode passes NULL
+            # and so builds no ctypes array
+            stop = (ctypes.c_size_t * 2)(_SIZE_MAX, _SIZE_MAX)
+            self._unpack(blob, len(blob), limit, None, stop)
+            if stop[1] == _SIZE_MAX:
+                raise MemoryError("no memory for the LZ78 entry table")
+            from .lz78 import _raise_fault
+
+            _raise_fault(blob, *stop, max_output)
         buf = bytearray(size)
-        if self._unpack(blob, len(blob), limit, _out(buf)) == _SIZE_MAX:
-            return None
+        if self._unpack(blob, len(blob), limit, _out(buf), None) == _SIZE_MAX:
+            raise MemoryError("no memory for the LZ78 entry table")
         return bytes(buf)
 
 

@@ -206,12 +206,13 @@ def test_decompress_memory_stays_near_the_output_size():
 # --- pack and unpack against the reference ------------------------------------
 
 
+# what a call returns, or the class and message of what it raises
+_outcome = lz78._outcome
+
+
 def _reference_unpack(blob, max_output):
-    """The reference's output, or the type and message of what it raises."""
-    try:
-        return decompress(decode_tokens(blob), max_output)
-    except ClaesError as exc:
-        return type(exc), str(exc)
+    """The streaming reference: tokens parsed one at a time as decoded."""
+    return decompress(lz78._parse_tokens(blob), max_output)
 
 
 _LOW_ENTROPY = st.lists(st.sampled_from(b"ab\n"), max_size=4096).map(bytes)
@@ -236,11 +237,45 @@ def test_pack_matches_the_reference_on_three_byte_varints(kernel):
     blob = encode_tokens(tokens)
     assert kernel.pack(data) == blob
     assert kernel.unpack(blob, len(data)) == data
-    assert kernel.unpack(blob, len(data) - 1) is None
+    expected = _outcome(_reference_unpack, blob, len(data) - 1)
+    assert expected[0] is OutputLimitExceeded
+    assert _outcome(kernel.unpack, blob, len(data) - 1) == expected
+
+
+# 1-4 KiB of low-entropy text, packed, then broken once: a byte flipped, cut
+# short, a byte appended, or a piece of it copied in elsewhere; the fault
+# then mostly sits past token 128, behind two-byte varints
+def _broken(data, how, at, other):
+    blob = encode_tokens(compress(data))
+    at %= len(blob)
+    if how == "flip":
+        return blob[:at] + bytes((blob[at] ^ (1 + other % 255),)) + blob[at + 1 :]
+    if how == "truncate":
+        return blob[:at]
+    if how == "append":
+        return blob + bytes((other % 256,))
+    start = other % len(blob)
+    return blob[:at] + blob[start : start + 1 + other % 16] + blob[at:]
+
+
+# arbitrary bytes mapped onto the three letters of _LOW_ENTROPY, as lists of
+# thousands of letters are slow to draw
+_AB = bytes(b"ab\n"[i % 3] for i in range(256))
+_BROKEN_PACKS = st.builds(
+    _broken,
+    st.binary(min_size=1024, max_size=4096).map(lambda data: data.translate(_AB)),
+    st.sampled_from(("flip", "truncate", "append", "splice")),
+    st.integers(min_value=0),
+    st.integers(min_value=0),
+)
 
 
 @given(
-    st.one_of(st.binary(max_size=512), st.lists(_TOKEN_PIECES, max_size=64).map(b"".join)),
+    st.one_of(
+        st.binary(max_size=512),
+        st.lists(_TOKEN_PIECES, max_size=64).map(b"".join),
+        _BROKEN_PACKS,
+    ),
     st.one_of(st.none(), st.integers(min_value=0, max_value=1024)),
 )
 @settings(max_examples=400, deadline=None)
@@ -249,15 +284,64 @@ def test_pack_matches_the_reference_on_three_byte_varints(kernel):
 @example(b"\x80" * 9 + b"\x00\x01A", None)  # index 0 in a ten-byte varint
 @example(b"\x80" * 8 + b"\x00\x01A", None)  # index 0 in a nine-byte varint
 @example(encode_tokens([Token(t, 65) for t in range(4000)]), 64)
+@example(bytes.fromhex("00014105014201"), None)  # a bad index, then a cut token
 def test_unpack_matches_the_reference_or_raises_as_it_does(kernel, blob, max_output):
-    expected = _reference_unpack(blob, max_output)
-    compiled = kernel.unpack(blob, max_output)
-    # the kernel reports an error exactly where the reference raises
-    assert compiled == (None if isinstance(expected, tuple) else expected)
+    expected = _outcome(_reference_unpack, blob, max_output)
+    assert _outcome(kernel.unpack, blob, max_output) == expected
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_native, "_kernel", kernel)
-        try:
-            got = lz78.unpack(blob, max_output)
-        except ClaesError as exc:
-            got = type(exc), str(exc)
-    assert got == expected
+        assert _outcome(lz78.unpack, blob, max_output) == expected
+        mp.setattr(_native, "_kernel", None)
+        assert _outcome(lz78.unpack, blob, max_output) == expected
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
+def test_the_first_fault_in_stream_order_is_raised(request, monkeypatch, compiled):
+    # token 1 has a bad index, and the stream is cut after it; the whole
+    # blob is not parsed before the index is checked
+    monkeypatch.setattr(_native, "_kernel", request.getfixturevalue("kernel") if compiled else None)
+    blob = bytes.fromhex("00014105014201")
+    with pytest.raises(BadIndex, match="token 1 references entry 5, dictionary has 1"):
+        lz78.unpack(blob)
+    with pytest.raises(Truncated):
+        decode_tokens(blob)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
+def test_a_failing_decode_stops_at_the_cap_in_bounded_memory(request, monkeypatch, compiled):
+    monkeypatch.setattr(_native, "_kernel", request.getfixturevalue("kernel") if compiled else None)
+    blob = b"\x00\x01A" * 1_000_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(OutputLimitExceeded, match="token 10 takes the output past 10 bytes"):
+            lz78.unpack(blob, max_output=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _words(n):
+    rng = random.Random(5)
+    vocabulary = [bytes(rng.choices(b"abcdefghij", k=rng.randrange(2, 9))) for _ in range(2000)]
+    return b" ".join(rng.choices(vocabulary, k=n // 5))[:n]
+
+
+@pytest.mark.parametrize("fault", ["appended byte", "cap one short"])
+def test_the_kernel_names_a_fault_from_one_python_token(kernel, monkeypatch, fault):
+    data = _words(1 << 18)
+    blob = kernel.pack(data)
+    blob, cap = (blob + b"\x00", None) if fault == "appended byte" else (blob, len(data) - 1)
+    expected = _outcome(_reference_unpack, blob, cap)
+    parsed = []
+    parse = lz78._parse_tokens
+
+    def counted(data, pos=0):
+        for token in parse(data, pos):
+            parsed.append(token)
+            yield token
+
+    monkeypatch.setattr(lz78, "_parse_tokens", counted)
+    monkeypatch.setattr(_native, "_kernel", kernel)
+    assert _outcome(lz78.unpack, blob, cap) == expected
+    assert len(parsed) <= 1

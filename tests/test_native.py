@@ -61,10 +61,14 @@ _WRONG_SOURCES = {
     "unpack-limit": ("if (piece > limit - total)", "if (piece > limit - total + 1)", lz78),
     # an error reported as the output size reached before it
     "unpack-failure-return": (
-        "fail:\n    free(start);\n    return SIZE_MAX;",
-        "fail:\n    free(start);\n    return total;",
+        "    free(start);\n    return SIZE_MAX;\n}",
+        "    free(start);\n    return total;\n}",
         lz78,
     ),
+    # the stop that names the error: one token late, or at the byte after
+    # the token's varint
+    "unpack-stop-token": ("stop[0] = entries - 1;", "stop[0] = entries;", lz78),
+    "unpack-stop-start": ("} while (b & 0x80);\n", "} while (b & 0x80);\n        at = pos;\n", lz78),
 }
 
 
