@@ -12,7 +12,9 @@
  * One calling convention: each function writes into an output buffer the
  * caller owns and has sized (NULL when empty), a scalar constant is defined
  * here, not passed, and a function that can fail returns the output size or
- * SIZE_MAX.
+ * SIZE_MAX.  LZ78 unpack, whose output size only the whole stream tells, is
+ * also given the buffer's capacity: it writes while the output fits and
+ * returns the size the output needs.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -207,8 +209,9 @@ int claes_has_aes_hw(void)
 
 /* --- LZ78 ------------------------------------------------------------------ */
 
-/* Trie edges in an open-addressing table keyed by (node << 8) | byte; a
- * child of 0 marks an empty slot (entries are numbered from 1). */
+/* Trie edges below the root in an open-addressing table keyed by
+ * (node << 8) | byte; a child of 0 marks an empty slot (entries are numbered
+ * from 1).  The root's children are indexed by their byte. */
 struct edge {
     uint64_t key;
     uint64_t child;
@@ -232,28 +235,44 @@ static size_t put_varint(unsigned char *out, size_t o, uint64_t v)
     return o;
 }
 
+/* The edge table opens with a mask of 255 or, for a longer input, the
+ * smallest 2**k - 1 at least n / 2, up to this cap, so that text of up to
+ * 32 KiB, which parses into fewer than n / 4 phrases, never grows it; a
+ * larger input grows it as it fills. */
+#define START_MASK_CAP 16383
+
 /* lz78.pack: encode_tokens(compress(in[0..n))) into out, which must hold
- * n * (varint length of n + 2) bytes.  Returns the bytes written, or
- * SIZE_MAX when the table's memory cannot be had. */
+ * t * (varint length of t + 2) bytes for t = min(n, (n + 256) / 2 + 1), the
+ * most tokens n bytes parse into: at most 256 phrases of one byte, every
+ * other phrase of two bytes or more, and one terminal token.  Returns the
+ * bytes written, or SIZE_MAX when the table's memory cannot be had. */
 size_t claes_lz78_pack(const unsigned char *in, size_t n, unsigned char *out)
 {
     size_t mask = 255, used = 0, o = 0;
+    while (mask < n / 2 && mask < START_MASK_CAP)
+        mask = 2 * mask + 1;
     struct edge *table = calloc(mask + 1, sizeof *table);
     if (!table)
         return SIZE_MAX;
-    uint64_t node = 0, next = 1;
+    uint64_t node = 0, next = 1, root[256] = {0};
     for (size_t i = 0; i < n; i++) {
-        uint64_t key = node << 8 | in[i];
-        size_t slot = slot_of(table, mask, key);
-        if (table[slot].child) {
-            node = table[slot].child;
+        uint64_t key = node << 8 | in[i], *child = &root[in[i]];
+        size_t slot = 0;
+        if (node) {
+            slot = slot_of(table, mask, key);
+            child = &table[slot].child;
+        }
+        if (*child) {
+            node = *child;
             continue;
         }
         o = put_varint(out, o, node);
         out[o++] = 0x01;
         out[o++] = in[i];
+        *child = next++;
+        if (!node)
+            continue;
         table[slot].key = key;
-        table[slot].child = next++;
         node = 0;
         if (++used * 2 > mask) {
             /* keep the load at most one half: double and reinsert */
@@ -279,22 +298,25 @@ size_t claes_lz78_pack(const unsigned char *in, size_t n, unsigned char *out)
     return o;
 }
 
-/* lz78.unpack: decompress(decode_tokens(in[0..n)), limit).
+/* lz78.unpack: decompress(decode_tokens(in[0..n)), limit), in one parse.
  *
- * With out NULL, checks the whole stream and returns the output size; with
- * out holding that many bytes, also writes the output.  Entry k of the
- * dictionary is the piece out[start[k] .. start[k + 1]) of the output, and
- * start[entries] is the output size so far.  Returns SIZE_MAX at the first
- * token the Python reference refuses, and then writes to stop, unless it is
- * NULL, that token's number and the byte it starts at; returns SIZE_MAX
- * with stop untouched when scratch memory cannot be had.  The caller keeps
- * `limit` below SIZE_MAX, so no output size is mistaken for a failure. */
-size_t claes_lz78_unpack(const unsigned char *in, size_t n, size_t limit, unsigned char *out, size_t *stop)
+ * Writes the output into out, which holds `capacity` bytes, while it fits,
+ * then only counts it, and returns the output size either way: a size above
+ * `capacity` means out is short and holds a prefix only, and capacity 0
+ * with out NULL checks and sizes the stream.  Entry k of the dictionary is
+ * the piece out[start[k] .. start[k + 1]) of the output, and start[entries]
+ * is the output size so far.  Returns SIZE_MAX at the first token the
+ * Python reference refuses, and then writes to stop, unless it is NULL,
+ * that token's number and the byte it starts at; returns SIZE_MAX with stop
+ * untouched when scratch memory cannot be had.  The caller keeps `limit`
+ * below SIZE_MAX, so no output size is mistaken for a failure. */
+size_t claes_lz78_unpack(const unsigned char *in, size_t n, size_t limit, unsigned char *out, size_t capacity,
+                         size_t *stop)
 {
     /* every token takes at least two bytes and adds one entry to the empty
      * entry 0, and the sentinel takes one slot more */
     size_t *start = malloc((n / 2 + 2) * sizeof *start);
-    size_t entries = 1, pos = 0, at = 0, total = 0;
+    size_t entries = 1, pos = 0, at = 0, total = 0, room = capacity;
     if (!start)
         return SIZE_MAX;
     start[0] = start[1] = 0;
@@ -328,10 +350,15 @@ size_t claes_lz78_unpack(const unsigned char *in, size_t n, size_t limit, unsign
         }
         if (piece > limit - total)
             goto fail;
-        if (out) {
+        /* a piece copies only bytes before it, so all of them are in out
+         * until the first piece that does not fit; from there on nothing is */
+        if (piece > room) {
+            room = 0;
+        } else if (piece) {
             memcpy(out + total, out + from, copied);
             if (flag)
                 out[total + copied] = in[pos];
+            room -= piece;
         }
         pos += flag;
         total += piece;

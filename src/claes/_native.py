@@ -21,7 +21,8 @@ Every binding calls the kernel one way: Python sizes each output as a
 ``bytearray`` that the C side writes into (`_out`), constants live in the C
 source, and a call that can fail returns the output size or ``SIZE_MAX``,
 on which the binding raises MemoryError, or for an LZ78 fault the error
-the Python reference raises there.
+the Python reference raises there.  LZ78 unpack alone is given a buffer
+that may be short, as only the whole stream tells its output size.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ from pathlib import Path
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 _SIZE_MAX = ctypes.c_size_t(-1).value
+# `Kernel.unpack`'s first output buffer is at most this many times the
+# blob's size.  Text and random bytes unpack to less (1.3 and 0.6 times
+# over 1 MiB), and a larger guess zero-fills bytes no output reaches.
+_UNPACK_GUESS = 2
 
 
 def _out(buf: bytearray):
@@ -71,7 +76,7 @@ class Kernel:
         out, size, data = ctypes.POINTER(ctypes.c_ubyte), ctypes.c_size_t, ctypes.c_char_p
         self._chaos = _bind(lib.claes_chaos, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint, out, size)
         self._pack = _bind(lib.claes_lz78_pack, size, data, size, out)
-        self._unpack = _bind(lib.claes_lz78_unpack, size, data, size, size, out, ctypes.POINTER(size))
+        self._unpack = _bind(lib.claes_lz78_unpack, size, data, size, size, out, size, ctypes.POINTER(size))
         # every counter-mode loop this CPU can run, by the AES it runs on,
         # fastest first; ctr_xor is the first, and the load check checks all
         self.ctr_loops = {}
@@ -92,8 +97,7 @@ class Kernel:
     def pack(self, data: bytes) -> bytes:
         """``encode_tokens(compress(data))``."""
         n = len(data)
-        # at most n tokens, each a varint index below n and at most 2 bytes more
-        buf = bytearray(n * (max(1, -(-n.bit_length() // 7)) + 2))
+        buf = bytearray(pack_capacity(n))
         size = self._pack(data, n, _out(buf))
         if size == _SIZE_MAX:
             raise MemoryError("no memory for the LZ78 trie")
@@ -103,22 +107,38 @@ class Kernel:
         """`lz78.unpack` for ``max_output`` None or non-negative: the output,
         or the error the Python reference raises."""
         limit = _SIZE_MAX - 1 if max_output is None else min(max_output, _SIZE_MAX - 1)
-        # a sizing pass first: no length the input claims is trusted
-        size = self._unpack(blob, len(blob), limit, None, None)
+        n = len(blob)
+        # the parse that checks the stream writes its output when it fits a
+        # first guess, bounded by the blob and never by a length the input
+        # claims alone; a second parse runs only when the guess was short
+        buf = bytearray(min(limit, _UNPACK_GUESS * n))
+        size = self._unpack(blob, n, limit, _out(buf), len(buf), None)
         if size == _SIZE_MAX:
             # again, to learn where it stopped; a clean decode passes NULL
             # and so builds no ctypes array
             stop = (ctypes.c_size_t * 2)(_SIZE_MAX, _SIZE_MAX)
-            self._unpack(blob, len(blob), limit, None, stop)
+            self._unpack(blob, n, limit, None, 0, stop)
             if stop[1] == _SIZE_MAX:
                 raise MemoryError("no memory for the LZ78 entry table")
             from .lz78 import _raise_fault
 
             _raise_fault(blob, *stop, max_output)
-        buf = bytearray(size)
-        if self._unpack(blob, len(blob), limit, _out(buf), None) == _SIZE_MAX:
-            raise MemoryError("no memory for the LZ78 entry table")
+        if size > len(buf):
+            buf = bytearray(size)
+            if self._unpack(blob, n, limit, _out(buf), size, None) == _SIZE_MAX:
+                raise MemoryError("no memory for the LZ78 entry table")
+        del buf[size:]
         return bytes(buf)
+
+
+def pack_capacity(n: int) -> int:
+    """The output buffer `Kernel.pack` gives ``n`` input bytes: room for the
+    most tokens n bytes can parse into, t = min(n, (n + 256) // 2 + 1), each
+    a varint index below t and at most two bytes more.  At most 256 phrases
+    are one byte long, every other phrase is two bytes or more, and a
+    terminal token may end the stream."""
+    t = n if n < 258 else (n + 256) // 2 + 1
+    return t * ((t.bit_length() + 6) // 7 + 2)
 
 
 def library_path(source: bytes) -> Path | None:

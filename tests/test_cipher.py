@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -430,3 +431,21 @@ def test_chained_tokens_fail_fast_against_declared_length():
     env = Envelope(flags=FLAG_LZ78, nonce=carrier.nonce, plain_len=64, payload=carrier.payload)
     with pytest.raises(OutputLimitExceeded, match="token 10 "):
         decrypt_message(env, master)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
+def test_a_short_stream_declaring_64_mib_is_refused_in_bounded_memory(request, monkeypatch, compiled):
+    # no output buffer is sized from the declared length alone
+    monkeypatch.setattr(_native, "_kernel", request.getfixturevalue("kernel") if compiled else None)
+    master = b"bounded decode"
+    env = encrypt_message(master, bytes(12), b"A")
+    assert len(env.payload) == 3
+    hostile = Envelope(env.flags, env.nonce, 64 << 20, env.payload)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ClaesError):
+            decrypt_message(hostile, master)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

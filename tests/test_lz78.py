@@ -242,6 +242,82 @@ def test_pack_matches_the_reference_on_three_byte_varints(kernel):
     assert _outcome(kernel.unpack, blob, len(data) - 1) == expected
 
 
+# --- the sizes the kernel's table and buffers turn on ---------------------------
+
+
+def _start_mask(n):
+    """The first mask of the edge table in `claes_lz78_pack` (_kernel.c)."""
+    mask = 255
+    while mask < n // 2 and mask < 16383:
+        mask = 2 * mask + 1
+    return mask
+
+
+def test_the_load_check_text_grows_the_kernel_edge_table():
+    # the table holds the edges below the root and grows once past half
+    # full, so a kernel that rehashes wrongly fails its load check
+    data = lz78._KERNEL_CHECK_INPUTS[0]
+    edges = sum(1 for t in compress(data) if t.index and t.symbol is not None)
+    assert edges * 2 > _start_mask(len(data))
+
+
+# sizes at and around each first table size, the cap on it, and growth
+@pytest.mark.parametrize("size", [0, 1, 255, 256, 511, 512, 2048, 32_769, 65_537])
+@pytest.mark.parametrize("kind", ["random", "text"])
+def test_pack_and_unpack_match_the_reference_at_table_sizes(kernel, kind, size):
+    data = random.Random(size).randbytes(size) if kind == "random" else _words(size)
+    blob = encode_tokens(compress(data))
+    assert kernel.pack(data) == blob
+    assert kernel.unpack(blob, None) == data
+    assert kernel.unpack(blob, size) == data
+
+
+@pytest.mark.parametrize("tail", [b"", b"\0"], ids=["symbols", "terminal"])
+def test_the_most_tokens_fit_the_pack_buffer(kernel, monkeypatch, tail):
+    # every byte once, then distinct two-byte phrases, then perhaps a
+    # terminal token: as many tokens as 20,256 or 20,257 bytes can give
+    data = bytes(range(256)) + b"".join(bytes(divmod(i, 256)) for i in range(10_000)) + tail
+    tokens = compress(data)
+    bound = min(len(data), (len(data) + 256) // 2 + 1)
+    assert len(tokens) == 10_256 + len(tail) and bound == 10_257
+    blob = encode_tokens(tokens)
+    sizes = []
+    pack = kernel._pack
+
+    def recorded(*args):
+        sizes.append(pack(*args))
+        return sizes[-1]
+
+    monkeypatch.setattr(kernel, "_pack", recorded)
+    assert kernel.pack(data) == blob
+    # the size the C code wrote, against the buffer the binding gave it: a
+    # bytearray's hidden zero byte past its end hides a one-byte overrun
+    # from a memory checker
+    assert sizes == [len(blob)]
+    assert len(blob) <= _native.pack_capacity(len(data))
+    assert kernel.unpack(blob, len(data)) == data
+
+
+def test_a_clean_decode_is_one_kernel_parse(kernel, monkeypatch):
+    data = _words(1 << 16)
+    blob = kernel.pack(data)
+    capacities = []
+    unpack = kernel._unpack
+
+    def counted(*args):
+        capacities.append(args[4])
+        return unpack(*args)
+
+    monkeypatch.setattr(kernel, "_unpack", counted)
+    assert kernel.unpack(blob, len(data)) == data
+    assert kernel.unpack(blob, None) == data
+    assert capacities == [len(data), _native._UNPACK_GUESS * len(blob)]
+    # an output past the first guess takes a second parse
+    chain = encode_tokens([Token(t, 65) for t in range(100)])
+    assert kernel.unpack(chain, None) == b"A" * 5050
+    assert capacities[2:] == [_native._UNPACK_GUESS * len(chain), 5050]
+
+
 # 1-4 KiB of low-entropy text, packed, then broken once: a byte flipped, cut
 # short, a byte appended, or a piece of it copied in elsewhere; the fault
 # then mostly sits past token 128, behind two-byte varints

@@ -54,6 +54,14 @@ _WRONG_SOURCES = {
     "aes-ni-lane-counter": ("__builtin_bswap32(ctr + l)", "__builtin_bswap32(ctr + l + (l == 7))", cipher),
     "aes-ni-last-round-key": ("k[10])", "k[9])", cipher),
     "pack-varint-shift": ("v >>= 7;", "v >>= 6;", lz78),
+    # the edges reinserted under the old mask when the table grows
+    "pack-grow-rehash": (
+        "grown[slot_of(grown, wider, table[j].key)]",
+        "grown[slot_of(grown, mask, table[j].key)]",
+        lz78,
+    ),
+    # a piece that exactly fills the output buffer left out of it
+    "unpack-capacity": ("if (piece > room) {", "if (piece >= room) {", lz78),
     "unpack-varint-shift": ("shift += 7;", "shift += 6;", lz78),
     # a tenth varint byte read, or a ninth refused
     "unpack-varint-too-long": ("shift >= 63)", "shift >= 70)", lz78),
