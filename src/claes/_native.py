@@ -5,11 +5,11 @@ The kernel runs the three per-byte loops of the pipeline: the logistic map
 (`cipher`) and the LZ78 codec (`lz78`).  Counter mode runs on the CPU's AES
 instructions when CPUID reports them (x86-64 AES-NI), else on T-tables.
 It is compiled on first use with the system ``cc`` into the user's cache
-directory (``$XDG_CACHE_HOME/claes``, else ``~/.cache/claes``), under a file
-name that carries a CRC-32 of the source and the compiler flags, so an
-edited source never loads an old build.  The library is written to a
-temporary file and renamed into place, so a concurrent process sees either
-no library or a whole one.  Later imports load the cached file.
+directory (``$XDG_CACHE_HOME/claes`` if absolute, else ``~/.cache/claes``),
+under a file name that carries a CRC-32 of the source and the compiler
+flags, so an edited source never loads an old build.  The library is
+written to a temporary file and renamed into place, so a concurrent process
+sees either no library or a whole one.  Later imports load the cached file.
 
 `kernel` loads it once and uses it only if every function reproduces its
 Python reference (`kernel_matches_reference`).  When there is no compiler,
@@ -144,7 +144,10 @@ def pack_capacity(n: int) -> int:
 def library_path(source: bytes) -> Path | None:
     """Where the build of ``source`` is cached; None when neither
     ``XDG_CACHE_HOME`` nor the home directory gives an absolute path."""
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        # the XDG Base Directory spec says to ignore a relative path
+        base = os.path.join(os.path.expanduser("~"), ".cache")
     if not os.path.isabs(base):
         return None
     tag = zlib.crc32(" ".join(_CFLAGS).encode(), zlib.crc32(source))

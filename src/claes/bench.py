@@ -92,13 +92,12 @@ class TrendFit:
 
 def run_bench(
     profiles,
-    methods,
     master_key: bytes,
     repetitions: int = 10,
     matrix: Matrix3D | None = None,
 ) -> list[BenchRecord]:
     """Median of ``repetitions`` timings of the keystream call per (method,
-    sensor, size).
+    sensor, size), for both `METHODS`.
 
     Only the payload length enters the timed call.  Timed regions run
     sequentially on the calling thread.  Repetitions go round-robin over
@@ -108,14 +107,11 @@ def run_bench(
     """
     m = matrix if matrix is not None else default_matrix()
     km = derive_key_material(master_key, m)
-    for method in methods:
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}")
     if repetitions < 3:
         raise ValueError("medians need at least 3 repetitions")
     cells = [
         (method, profile, size_kb)
-        for method in methods
+        for method in METHODS
         for profile in profiles
         for size_kb in profile.sizes_kb
     ]

@@ -23,7 +23,8 @@ two XORs are one pass (`_ctr_xor`), which makes each counter block as it
 goes.  A `Cipher` holds one master key's derived material and the
 keystream drawn for it so far, which depends on the key alone;
 `encrypt_message` and `decrypt_message` keep the cipher of the last key
-they used (`clear_key_cache` drops it).
+they used, in a one-entry `functools.lru_cache` on `_cached_cipher`
+(`clear_key_cache` drops it).
 There is no authentication tag; corruption is surfaced only through the
 declared-length check and LZ78 decode failures, so a same-length wrong
 plaintext cannot be detected.
@@ -31,6 +32,7 @@ plaintext cannot be detected.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -382,14 +384,18 @@ class Cipher:
             raise ValueError(f"max_output must not be negative, got {max_output}")
         payload = bytes(env.payload)
         compressed = env.flags & FLAG_LZ78
-        if max_output is not None and not compressed and len(payload) > max_output:
-            raise OutputLimitExceeded(f"{len(payload)} bytes exceed the {max_output}-byte output limit")
+        if not compressed:
+            # the output is the payload's length, so both checks come before
+            # any keystream is drawn
+            if max_output is not None and len(payload) > max_output:
+                raise OutputLimitExceeded(f"{len(payload)} bytes exceed the {max_output}-byte output limit")
+            if len(payload) != env.plain_len:
+                raise LengthMismatch(f"payload is {len(payload)} bytes, envelope declares {env.plain_len}")
         data = _ctr_xor(env.nonce, self._round_keys, payload, self._keystream(len(payload)), len(payload))
-        if compressed:
-            limit = env.plain_len if max_output is None else min(env.plain_len, max_output)
-            plaintext = lz78.unpack(data, max_output=limit)
-        else:
-            plaintext = data
+        if not compressed:
+            return data
+        limit = env.plain_len if max_output is None else min(env.plain_len, max_output)
+        plaintext = lz78.unpack(data, max_output=limit)
         if len(plaintext) != env.plain_len:
             raise LengthMismatch(
                 f"decoded {len(plaintext)} bytes, envelope declares {env.plain_len}"
@@ -398,30 +404,17 @@ class Cipher:
 
 
 # encrypt_message and decrypt_message keep the cipher of the last key they
-# used, as ((master key, matrix), cipher), replaced in one
-# assignment: a sender seals a run of messages under one key, and an open in
-# the sealing process reuses the seal's key
-_last: tuple[tuple, Cipher] | None = None
-
-
+# used: a sender seals a run of messages under one key, and an open in the
+# sealing process reuses the seal's key.  A matrix is keyed by identity.
+@functools.lru_cache(maxsize=1)
 def _cached_cipher(master_key: bytes, matrix: Matrix3D | None) -> Cipher:
-    """The cipher of the arguments: the last one if its key is theirs, else
-    a new one that replaces it."""
-    global _last
-    key = (bytes(master_key), matrix)
-    last = _last
-    if last is not None and last[0] == key:
-        return last[1]
-    cipher = Cipher(*key)
-    _last = (key, cipher)
-    return cipher
+    return Cipher(master_key, matrix)
 
 
 def clear_key_cache() -> None:
     """Drop the cipher kept by `encrypt_message` and `decrypt_message`, with
     its key material and keystream."""
-    global _last
-    _last = None
+    _cached_cipher.cache_clear()
 
 
 def encrypt_message(
@@ -433,7 +426,7 @@ def encrypt_message(
     matrix: Matrix3D | None = None,
 ) -> Envelope:
     """`Cipher.seal` under ``master_key``, with the key's cached cipher."""
-    return _cached_cipher(master_key, matrix).seal(nonce, plaintext, compress)
+    return _cached_cipher(bytes(master_key), matrix).seal(nonce, plaintext, compress)
 
 
 def decrypt_message(
@@ -444,4 +437,4 @@ def decrypt_message(
     max_output: int | None = DEFAULT_MAX_OUTPUT,
 ) -> bytes:
     """`Cipher.open` under ``master_key``, with the key's cached cipher."""
-    return _cached_cipher(master_key, matrix).open(env, max_output=max_output)
+    return _cached_cipher(bytes(master_key), matrix).open(env, max_output=max_output)

@@ -170,54 +170,44 @@ def _cmd_keygen(args) -> int:
     return EXIT_OK
 
 
-def _cmd_encrypt(args) -> int:
+def _rewrite(args, transform) -> int:
+    """Write ``transform`` of the input file's bytes to the output file,
+    which is opened only once the transform has succeeded."""
     with open(args.input, "rb") as fh:
-        plaintext = fh.read()
-    nonce = args.nonce
-    if nonce is None:
-        nonce = os.urandom(12)
-        print(f"nonce: {nonce.hex()}", file=sys.stderr)
-    env = encrypt_message(
-        _master_key(args),
-        nonce,
-        plaintext,
-        compress=not args.no_compress,
-        matrix=_matrix(args),
-    )
-    with open(args.output, "wb") as fh:
-        fh.write(env.encode())
-    return EXIT_OK
-
-
-def _cmd_decrypt(args) -> int:
-    with open(args.input, "rb") as fh:
-        blob = fh.read()
-    plaintext = decrypt_message(
-        Envelope.decode(blob),
-        _master_key(args),
-        matrix=_matrix(args),
-        max_output=args.max_output,
-    )
-    with open(args.output, "wb") as fh:
-        fh.write(plaintext)
-    return EXIT_OK
-
-
-def _cmd_compress(args) -> int:
-    with open(args.input, "rb") as fh:
-        data = fh.read()
-    with open(args.output, "wb") as fh:
-        fh.write(lz78.pack(data))
-    return EXIT_OK
-
-
-def _cmd_decompress(args) -> int:
-    with open(args.input, "rb") as fh:
-        blob = fh.read()
-    data = lz78.unpack(blob, max_output=args.max_output)
+        data = transform(fh.read())
     with open(args.output, "wb") as fh:
         fh.write(data)
     return EXIT_OK
+
+
+def _cmd_encrypt(args) -> int:
+    def seal(plaintext):
+        nonce = args.nonce
+        if nonce is None:
+            nonce = os.urandom(12)
+            print(f"nonce: {nonce.hex()}", file=sys.stderr)
+        env = encrypt_message(
+            _master_key(args), nonce, plaintext, compress=not args.no_compress, matrix=_matrix(args)
+        )
+        return env.encode()
+
+    return _rewrite(args, seal)
+
+
+def _cmd_decrypt(args) -> int:
+    def open_(blob):
+        env = Envelope.decode(blob)
+        return decrypt_message(env, _master_key(args), matrix=_matrix(args), max_output=args.max_output)
+
+    return _rewrite(args, open_)
+
+
+def _cmd_compress(args) -> int:
+    return _rewrite(args, lz78.pack)
+
+
+def _cmd_decompress(args) -> int:
+    return _rewrite(args, lambda blob: lz78.unpack(blob, max_output=args.max_output))
 
 
 def _cmd_bench(args) -> int:
@@ -229,7 +219,7 @@ def _cmd_bench(args) -> int:
     if args.sizes:
         profiles = tuple(bench.WorkloadProfile(p.sensor, args.sizes) for p in profiles)
     print(f"kernel: {kernel_path()}")
-    records = bench.run_bench(profiles, bench.METHODS, master, args.reps, matrix=_matrix(args))
+    records = bench.run_bench(profiles, master, args.reps, matrix=_matrix(args))
     print(bench.emit_table(records))
     print()
     for method in bench.METHODS:

@@ -164,5 +164,9 @@ def parse_matrix_config(text: str) -> Matrix3D:
 
 
 def load_matrix(path) -> Matrix3D:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix_config(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return parse_matrix_config(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise MatrixConfigError(f"byte {exc.start}: the matrix file is not UTF-8 text") from None

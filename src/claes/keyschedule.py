@@ -1,13 +1,14 @@
 """Four-stage key derivation and the two benchmarkable keystream paths.
 
-Key1 comes from the lookup cube, Key2 from chaotic cycles XORed onto Key1,
-and Key3 from a rotate/XOR pass driven by an 8-bit LFSR.  The pass maps each
-byte b to rotr1(rotl1(b) ^ l) = b ^ rotr1(l), so Key3 is Key2 XOR a fixed
-period-255 pad, and the final key, Key1 ^ Key2 ^ Key3, is Key1 ^ pad: Key2
-cancels out.  `derive_key_material` therefore computes the final key from
-Key1 and the pad alone, as one integer XOR, and Key2 and Key3 are built only
-when read.  It folds Key1 into a 72-bit seed once and makes one chaos call
-per stream from it (`chaos.stream`): the 176 round-key bytes, then the
+Key1 comes from the lookup cube, Key2 from one chaos draw of four bytes per
+Key1 byte, every fourth XORed onto Key1, and Key3 from a rotate/XOR pass
+driven by an 8-bit LFSR.  The pass maps each byte b to
+rotr1(rotl1(b) ^ l) = b ^ rotr1(l), so Key3 is Key2 XOR a fixed period-255
+pad, and the final key, Key1 ^ Key2 ^ Key3, is Key1 ^ pad: Key2 cancels
+out.  `derive_key_material` therefore computes the final key from Key1 and
+the pad alone, as one integer XOR, and Key2 and Key3 are built only when
+read.  It folds Key1 into a 72-bit seed once and makes one chaos call per
+stream from it (`chaos.stream`): the 176 round-key bytes, then the
 keystream's seeded state.
 
 A message-length keystream is then produced by running the chaotic
@@ -104,12 +105,10 @@ def _seed(key1: bytes, domain_tag: int) -> ChaoticState:
 
 
 def derive_key2(seed: ChaoticState, key1: bytes) -> bytes:
-    """Second key: 16 chaotic iterations per byte, XORed onto Key1.
-    Advances ``seed``."""
-    out = bytearray()
-    for b in key1:
-        out.append(seed.take(KEY2_CYCLES)[-1] ^ b)
-    return bytes(out)
+    """Second key: 16 chaotic iterations per byte, XORed onto Key1, drawn
+    in one `take` of which every fourth byte is kept.  Advances ``seed``."""
+    raw = seed.take(KEY2_CYCLES * len(key1))[KEY2_CYCLES - 1::KEY2_CYCLES]
+    return bytes(a ^ b for a, b in zip(raw, key1))
 
 
 def derive_key3(key2: bytes) -> bytes:

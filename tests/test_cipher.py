@@ -309,6 +309,28 @@ def test_wrong_plain_len_detected():
         decrypt_message(tampered, b"key")
 
 
+def test_a_plain_envelope_declaring_another_length_fails_before_any_ctr(monkeypatch):
+    # a 16 MiB payload that declares 1 byte: no keystream is drawn and no
+    # counter mode runs for it
+    opener = cipher.Cipher(b"fail fast")
+    env = Envelope(flags=0, nonce=bytes(12), plain_len=1, payload=bytes(16 << 20))
+    calls = []
+    real = cipher._ctr_xor
+    monkeypatch.setattr(cipher, "_ctr_xor", lambda *args: calls.append(args[4]) or real(*args))
+    # the cap is checked first
+    with pytest.raises(OutputLimitExceeded):
+        opener.open(env, max_output=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(LengthMismatch):
+            opener.open(env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert peak < 1 << 20
+
+
 def test_corrupted_compressed_payload_never_silently_wrong_length():
     rng = random.Random(9090)
     master = b"fault injection key"

@@ -233,6 +233,13 @@ def test_encrypt_with_custom_matrix(tmp_path):
     assert dst.read_bytes() == b"AAAA custom matrix"
 
 
+def test_a_matrix_file_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
+    cfg = tmp_path / "matrix.bin"
+    cfg.write_bytes(b"\x7fELF\x02\x01\x01" + bytes(range(256)))
+    assert main(["keygen", "--key", "00", "--matrix", str(cfg)]) == EXIT_DATA
+    assert "claes: error: MatrixConfigError" in capsys.readouterr().err
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -49,8 +49,17 @@ def _cached_bytes(c):
     return len(c._drawn[0])
 
 
-def _assert_within_bounds():
-    assert cipher._last is None or _cached_bytes(cipher._last[1]) <= cipher._CACHE_BYTES
+def _held(key, matrix=None):
+    """The cipher the cache holds for ``key``: asking for it must be a hit."""
+    info = cipher._cached_cipher.cache_info()
+    held = cipher._cached_cipher(key, matrix)
+    assert cipher._cached_cipher.cache_info().hits == info.hits + 1
+    return held
+
+
+def _assert_within_bounds(key):
+    assert cipher._cached_cipher.cache_info().currsize == 1
+    assert _cached_bytes(_held(key)) <= cipher._CACHE_BYTES
 
 
 @given(
@@ -97,21 +106,25 @@ def test_the_cache_stays_within_its_bounds():
         for key in keys:
             text = rng.randbytes(rng.randrange(30000))
             env = encrypt_message(key, rng.randbytes(12), text, False)
-            _assert_within_bounds()
+            _assert_within_bounds(key)
             assert decrypt_message(env, key) == text
-            _assert_within_bounds()
+            _assert_within_bounds(key)
     # the last key used is the one kept
-    assert cipher._last[0] == (keys[-1], None)
+    _held(keys[-1])
 
 
 def test_a_repeated_key_reuses_its_cipher_and_a_new_key_replaces_it():
     encrypt_message(b"first", bytes(12), b"reading")
-    kept = cipher._last[1]
+    kept = _held(b"first")
     env = encrypt_message(b"first", bytes(12), b"another reading")
     assert decrypt_message(env, b"first") == b"another reading"
-    assert cipher._last[1] is kept
+    assert _held(b"first") is kept
+    assert cipher._cached_cipher.cache_info().misses == 1
     encrypt_message(b"second", bytes(12), b"reading")
-    assert cipher._last[0] == (b"second", None) and cipher._last[1] is not kept
+    assert _held(b"second") is not kept
+    assert cipher._cached_cipher.cache_info().currsize == 1
+    # the first key's cipher is gone: asking for it again makes a new one
+    assert cipher._cached_cipher(b"first", None) is not kept
 
 
 def test_a_message_longer_than_the_cap_is_drawn_and_not_kept():
@@ -123,17 +136,17 @@ def test_a_message_longer_than_the_cap_is_drawn_and_not_kept():
         text = random.Random(n).randbytes(n)
         env = encrypt_message(master, nonce, text, False)
         assert env.payload == cipher._ctr_xor(nonce, rk, text, _one_shot_keystream(master, n), n)
-        _assert_within_bounds()
-        assert _cached_bytes(cipher._last[1]) == cipher._CACHE_BYTES
+        _assert_within_bounds(master)
+        assert _cached_bytes(_held(master)) == cipher._CACHE_BYTES
         assert decrypt_message(env, master) == text
-        _assert_within_bounds()
+        _assert_within_bounds(master)
 
 
 def test_clear_key_cache_forgets_every_key():
     encrypt_message(b"a key", bytes(12), b"reading")
-    assert cipher._last is not None
+    assert cipher._cached_cipher.cache_info().currsize == 1
     clear_key_cache()
-    assert cipher._last is None
+    assert cipher._cached_cipher.cache_info().currsize == 0
 
 
 def test_failed_calls_leave_the_cache_within_its_cap():
@@ -144,12 +157,12 @@ def test_failed_calls_leave_the_cache_within_its_cap():
     forged = Envelope(flags=FLAG_LZ78, nonce=bytes(12), plain_len=5, payload=bytes(cipher._CACHE_BYTES + 100))
     with pytest.raises(ClaesError):
         decrypt_message(forged, master)
-    _assert_within_bounds()
+    _assert_within_bounds(master)
     # a bad nonce is refused before any keystream is drawn
-    held = _cached_bytes(cipher._last[1])
+    held = _cached_bytes(_held(master))
     with pytest.raises(LengthMismatch):
         encrypt_message(master, bytes(11), bytes(5000), False)
-    assert _cached_bytes(cipher._last[1]) == held
+    assert _cached_bytes(_held(master)) == held
 
 
 def test_the_cache_is_keyed_on_matrix_and_schedule():
@@ -158,11 +171,11 @@ def test_the_cache_is_keyed_on_matrix_and_schedule():
     matrix = parse_matrix_config("0 0 0 5")
     a = encrypt_message(master, bytes(12), b"same", False)
     c = encrypt_message(master, bytes(12), b"same", False, matrix=matrix)
-    assert a != c and cipher._last[0] == (master, matrix)
-    assert cipher._last[1]._round_keys == derive_key_material(master, matrix).round_keys
+    assert a != c
+    assert _held(master, matrix)._round_keys == derive_key_material(master, matrix).round_keys
     assert decrypt_message(c, master, matrix=matrix) == b"same"
     assert decrypt_message(a, master) == b"same"
-    assert cipher._last[1]._round_keys == derive_key_material(master).round_keys
+    assert _held(master)._round_keys == derive_key_material(master).round_keys
 
 
 @pytest.mark.parametrize("through", ["cache", "cipher"])
@@ -221,7 +234,12 @@ def test_threads_share_one_cipher(monkeypatch, kernel, through):
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not errors, errors
-        _assert_within_bounds()
+        if through == "cache":
+            # every thread hit the one cipher cached before they started
+            assert cipher._cached_cipher.cache_info().misses == 1
+            _assert_within_bounds(master)
+        else:
+            assert _cached_bytes(shared) <= cipher._CACHE_BYTES
 
 
 # Opens, under a 1 GiB address-space limit, an envelope of 60,000 chained

@@ -185,6 +185,13 @@ def test_load_matrix_from_file(tmp_path):
     assert m.cells[1][2][3] == 4
 
 
+def test_a_matrix_file_that_is_not_utf8_is_a_matrix_config_error(tmp_path):
+    path = tmp_path / "matrix.bin"
+    path.write_bytes(b"\x7fELF\x02\x01\x01" + bytes(range(256)))
+    with pytest.raises(MatrixConfigError, match="not UTF-8"):
+        load_matrix(path)
+
+
 def test_matrix_validates_shape_and_values():
     with pytest.raises(ValueError):
         Matrix3D([[[0] * 8] * 8] * 3)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from claes.chaos import _chaos_reference, seed_from_key1
+from claes.chaos import ChaoticState, _chaos_reference, seed_from_key1
 from claes.errors import EmptyKey, LengthMismatch, ZeroState
 from claes.keymatrix import default_matrix
 from claes.keyschedule import (
@@ -12,6 +12,7 @@ from claes.keyschedule import (
     DOMAIN_KEY2,
     DOMAIN_KEYSTREAM,
     DOMAIN_ROUND_KEYS,
+    KEY2_CYCLES,
     Lfsr8,
     baseline_keystream,
     derive_final_key,
@@ -103,6 +104,18 @@ def test_key2_consumes_sixteen_iterations_per_byte():
     derive_key2(seed, key1)
     # 16 steps are 4 bytes of the stream
     assert seed.m_raw == _chaos_reference(m, 0, 4 * 10)[1]
+
+
+def test_key2_is_one_chaos_draw(monkeypatch):
+    calls = []
+    real = ChaoticState.take
+    monkeypatch.setattr(ChaoticState, "take", lambda self, n: calls.append(n) or real(self, n))
+    key1 = bytes(range(48))
+    key2 = derive_key2(seed_from_key1(fold_seed_prefix(key1), DOMAIN_KEY2), key1)
+    assert calls == [KEY2_CYCLES * len(key1)]
+    monkeypatch.setattr(ChaoticState, "take", real)
+    per_byte = seed_from_key1(fold_seed_prefix(key1), DOMAIN_KEY2)
+    assert key2 == bytes(per_byte.take(KEY2_CYCLES)[-1] ^ b for b in key1)
 
 
 def test_key3_of_zero_key2_is_rotated_lfsr():

@@ -102,6 +102,14 @@ def test_a_kernel_built_from_a_wrong_source_is_refused(tmp_path, monkeypatch, mu
     _envelopes_hold()
 
 
+def test_a_relative_xdg_cache_home_is_ignored(tmp_path, monkeypatch):
+    # the XDG Base Directory spec says a relative path is to be ignored
+    monkeypatch.setenv("XDG_CACHE_HOME", "rel")
+    monkeypatch.setenv("HOME", str(tmp_path))
+    path = _native.library_path(b"source")
+    assert path is not None and path.parent == tmp_path / ".cache" / "claes"
+
+
 def test_the_kernel_path_names_the_aes_that_runs(kernel, monkeypatch):
     # the T-table loop is bound on every CPU, and last, so it serves only
     # where the CPU has no AES instructions
